@@ -40,6 +40,11 @@ log = logging.getLogger("cfku")
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
+IO_ERROR = 3
+
+
+def _usage_error(parser: argparse.ArgumentParser, command: str, message: str):
+    parser.exit(USAGE_ERROR, "%s %s: error: %s\n" % (parser.prog, command, message))
 
 
 def _params_or_exit(parser: argparse.ArgumentParser, m: int, n: int) -> PretzelParams:
@@ -50,11 +55,17 @@ def _params_or_exit(parser: argparse.ArgumentParser, m: int, n: int) -> PretzelP
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        sys.stderr.write(
+            "cfku: error: cannot write %s: %s\n" % (out or "stdout", e.strerror or e)
+        )
+        sys.exit(IO_ERROR)
 
 
 def cmd_invariants(parser, args) -> int:
@@ -85,6 +96,8 @@ def _verify_case(case: tuple[int, int, bool, bool]) -> dict:
 def cmd_verify(parser, args) -> int:
     if args.m_max % 2 == 0 or args.m_max < 3:
         parser.error("--m-max must be odd and at least 3")
+    if args.jobs < 1:
+        _usage_error(parser, "verify", "--jobs must be at least 1")
     cases = []
     for m in range(3, args.m_max + 1, 2):
         for n in range(3, m + 1, 2):
@@ -139,6 +152,12 @@ def cmd_hfk(parser, args) -> int:
 
 def cmd_show(parser, args) -> int:
     params = _params_or_exit(parser, args.m, args.n)
+    if args.which in ("A0", "cone") and args.format in ("dot", "ascii"):
+        _usage_error(
+            parser, "show",
+            "--which %s supports --format table or json, not %s"
+            % (args.which, args.format),
+        )
     if args.which == "full":
         c = full_complex(params)
     else:

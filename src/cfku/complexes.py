@@ -50,9 +50,6 @@ class FilteredComplex:
                 return k
         raise KeyError(label)
 
-    def entry(self, target: str, source: str) -> tuple[int, int]:
-        return self.diff.get((self.index(target), self.index(source)), up.lzero())
-
     def boundary_of(self, label: str) -> dict[str, tuple[int, int]]:
         s = self.index(label)
         return {
@@ -427,16 +424,6 @@ def _components(c: FilteredComplex, keep) -> dict[tuple[int, int], tuple[int, in
         if kept[1]:
             out[(t, s)] = kept
     return out
-
-
-def directional_diff(c: FilteredComplex, direction: str) -> ChainMap:
-    if direction == "vertical":
-        keep = lambda idrop, jdrop: idrop == 0
-    elif direction == "horizontal":
-        keep = lambda idrop, jdrop: jdrop == 0
-    else:
-        raise ValueError("direction must be vertical or horizontal")
-    return ChainMap(c, c, _components(c, keep), "filtered", maslov_shift=-1)
 
 
 def phi_psi(c: FilteredComplex) -> tuple[ChainMap, ChainMap]:

@@ -54,7 +54,6 @@ class GradedModule:
     _rho: int = 0
     _Rinv: list[list[int]] = field(default_factory=list)
     _Lp: list[list[int]] = field(default_factory=list)
-    _dprime: list[int] = field(default_factory=list)
     _free_slots: list[int] = field(default_factory=list)
     _torsion_slots: list[int] = field(default_factory=list)
 
@@ -128,7 +127,6 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
         _rho=rho,
         _Rinv=s1.Rinv,
         _Lp=s2.L,
-        _dprime=dprime,
         _free_slots=free_slots,
         _torsion_slots=torsion_slots,
     )
@@ -197,13 +195,24 @@ def _f2_rank(rows: list[int]) -> int:
 
 
 def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
-    """Bigraded ranks: (alexander w, maslov k) -> rank of H(C{i=0, j=w})."""
+    """Bigraded ranks: (alexander w, maslov k) -> rank of H(C{i=0, j=w}).
+
+    One i = 0 subquotient is split by diagonal j - i: its arrows whose
+    ends share a diagonal are exactly those of the i0_j_w summands.
+    """
+    sq = subquotient(c, "i_equals_0")
+    diag = [c.gens[g].j - c.gens[g].i for g, _k0 in sq.basis]
+    targets_of: dict[int, list[int]] = {}
+    for t, s in sq.diff:
+        if diag[t] == diag[s]:
+            targets_of.setdefault(s, []).append(t)
+    # diagonal -> grading -> basis indices
+    by_diag: dict[int, dict[int, list[int]]] = {}
+    for idx, (w, m) in enumerate(zip(diag, sq.maslov)):
+        by_diag.setdefault(w, {}).setdefault(m, []).append(idx)
     table: dict[tuple[int, int], int] = {}
-    for w in sorted({g.j - g.i for g in c.gens}):
-        sq = subquotient(c, "i0_j_w", w)
-        gens_at: dict[int, list[int]] = {}
-        for idx, m in enumerate(sq.maslov):
-            gens_at.setdefault(m, []).append(idx)
+    for w in sorted(by_diag):
+        gens_at = by_diag[w]
         # boundary blocks from grading k to k-1; entries are all U^0 here
         ranks: dict[int, int] = {}
         for k, sources in gens_at.items():
@@ -212,9 +221,8 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
             rows = []
             for s in sources:
                 row = 0
-                for (t, ss), p in sq.diff.items():
-                    if ss == s and p:
-                        row |= 1 << tpos[t]
+                for t in targets_of.get(s, ()):
+                    row |= 1 << tpos[t]
                 rows.append(row)
             ranks[k] = _f2_rank(rows)
         for k, gens in gens_at.items():

@@ -11,6 +11,7 @@ main diagonal and in the reflection behaviour of the staircase ends.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .complexes import (
@@ -187,7 +188,15 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
     s-1 of the i = 0 slice, so the expected-minus-staircase totals T(w)
     satisfy T(w) = b_{w-1} + 2 b_w + b_{w+1}; solving from the genus
     downward determines every b_s.
+
+    The solve and its checks run once per params in a process; every
+    call returns a fresh dict the caller may change.
     """
+    return dict(_checked_box_multiplicities(params))
+
+
+@functools.cache
+def _checked_box_multiplicities(params: PretzelParams) -> dict[int, int]:
     g = params.g
     expected = expected_hfk(params)
     st = hfk_hat(build_staircase("negative", params.steps))

@@ -12,7 +12,6 @@ import json
 
 from . import upoly as up
 from .complexes import FilteredComplex, Generator, SubquotientComplex
-from .homology import GradedModule
 
 
 def complex_to_json(c: FilteredComplex) -> dict:
@@ -44,15 +43,6 @@ def complex_from_json(d: dict) -> FilteredComplex:
             coeff = up.ladd(coeff, up.lmono(a))
         c.diff[(c.index(e["target"]), c.index(e["source"]))] = coeff
     return c
-
-
-def module_to_json(h: GradedModule) -> dict:
-    return {
-        "free": [{"grading": g} for g, _rep in h.free],
-        "torsion": [
-            {"grading": g, "order": k} for g, k, _rep in h.torsion
-        ],
-    }
 
 
 def subquotient_to_json(sq: SubquotientComplex) -> dict:
@@ -118,13 +108,6 @@ def generator_table(c: FilteredComplex) -> str:
     for g in c.gens:
         lines.append("%-12s %7d %5d %5d" % (g.label, g.maslov, g.i, g.j))
     return "\n".join(lines) + "\n"
-
-
-def module_table(h: GradedModule, name: str) -> str:
-    parts = ["F[U] at grading %d" % g for g, _ in h.free]
-    parts += ["F[U]/U^%d at grading %d" % (k, g) for g, k, _ in h.torsion]
-    body = "\n".join("  " + p for p in parts) or "  0"
-    return "%s =\n%s\n" % (name, body)
 
 
 def report_table(report: dict) -> str:

@@ -205,10 +205,6 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return out
 
 
-def mat_eq(a: list[list[int]], b: list[list[int]]) -> bool:
-    return a == b
-
-
 def mat_is_identity(a: list[list[int]]) -> bool:
     return all(
         x == (1 if i == j else 0) for i, row in enumerate(a) for j, x in enumerate(row)

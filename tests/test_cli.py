@@ -34,17 +34,42 @@ def test_invariants_json_matches_report(tmp_path):
 
 
 def test_usage_errors_exit_two(capsys):
-    for argv in (
+    one_line = [
+        ["verify", "--m-max", "3", "--jobs", "0"],
+        ["verify", "--m-max", "3", "--jobs", "-5"],
+        ["show", "-m", "5", "-n", "5", "--which", "A0", "--format", "dot"],
+        ["show", "-m", "5", "-n", "5", "--which", "A0", "--format", "ascii"],
+        ["show", "-m", "5", "-n", "5", "--which", "cone", "--format", "dot"],
+        ["show", "-m", "5", "-n", "5", "--which", "cone", "--format", "ascii"],
+    ]
+    for argv in [
         ["invariants", "-m", "4", "-n", "3"],
         ["invariants", "-m", "3", "-n", "5"],
         ["verify", "--m-max", "4"],
         ["examples", "nosuchknot"],
         ["examples", "lspace"],
-    ):
+    ] + one_line:
         with pytest.raises(SystemExit) as e:
             run(argv)
         assert e.value.code == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err.splitlines()[-1]
+        if argv in one_line:
+            assert captured.err.count("\n") == 1, argv
+
+
+def test_output_error_exit_three(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as e:
+        run(["invariants", "-m", "3", "-n", "3", "--fast", "--format", "json",
+             "--out", str(path)])
+    assert e.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot write" in captured.err and "Traceback" not in captured.err
+    assert not path.exists()
 
 
 def test_mismatch_exit_one(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from cfku import upoly as up
 from cfku.complexes import (
     build_staircase,
+    dualize,
     figure_eight_complex,
     left_trefoil_complex,
     right_trefoil_complex,
@@ -20,6 +21,7 @@ from cfku.complexes import (
     unknot_complex,
 )
 from cfku.homology import (
+    _f2_rank,
     alexander_poly,
     genus_detect,
     graded_homology,
@@ -30,6 +32,7 @@ from cfku.homology import (
     v0,
     vector_grading,
 )
+from cfku.pretzel import PretzelParams, full_complex, model_complex
 
 steps_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).map(tuple)
 
@@ -101,6 +104,55 @@ def test_hfk_trefoils():
 
 def test_hfk_figure_eight():
     assert hfk_hat(figure_eight_complex()) == {(1, 1): 1, (0, 0): 3, (-1, -1): 1}
+
+
+def _hfk_hat_per_diagonal(c):
+    """Reference hfk_hat: one i0_j_w subquotient per diagonal w."""
+    table = {}
+    for w in sorted({g.j - g.i for g in c.gens}):
+        sq = subquotient(c, "i0_j_w", w)
+        gens_at = {}
+        for idx, m in enumerate(sq.maslov):
+            gens_at.setdefault(m, []).append(idx)
+        ranks = {}
+        for k, sources in gens_at.items():
+            targets = gens_at.get(k - 1, [])
+            tpos = {t: b for b, t in enumerate(targets)}
+            rows = []
+            for s in sources:
+                row = 0
+                for (t, ss), p in sq.diff.items():
+                    if ss == s and p:
+                        row |= 1 << tpos[t]
+                rows.append(row)
+            ranks[k] = _f2_rank(rows)
+        for k, gens in gens_at.items():
+            rank = len(gens) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            if rank:
+                table[(w, k)] = rank
+    return table
+
+
+def test_hfk_hat_matches_per_diagonal():
+    examples = [
+        unknot_complex(),
+        right_trefoil_complex(),
+        left_trefoil_complex(),
+        figure_eight_complex(),
+    ]
+    for m in range(3, 12, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            for c in (model_complex(params), full_complex(params)):
+                examples += [c, dualize(c)]
+    for c in examples:
+        assert hfk_hat(c) == _hfk_hat_per_diagonal(c)
+
+
+@given(st.sampled_from(["positive", "negative"]), steps_strategy)
+def test_hfk_hat_matches_per_diagonal_staircases(sign, steps):
+    c = build_staircase(sign, steps)
+    assert hfk_hat(c) == _hfk_hat_per_diagonal(c)
 
 
 def test_alexander_and_genus():

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from cfku import pretzel
 from cfku.complexes import dualize, validate
 from cfku.involution import dual_involution, validate_involution
 from cfku.pretzel import (
@@ -63,6 +64,29 @@ def test_box_multiplicities_examples():
     assert box_multiplicities(PretzelParams(5, 5)) == {0: 1}
     assert box_multiplicities(PretzelParams(7, 5)) == {1: 1, -1: 1}
     assert box_multiplicities(PretzelParams(3, 3)) == {}
+
+
+def test_box_multiplicities_returns_fresh_dict():
+    params = PretzelParams(9, 9)
+    first = box_multiplicities(params)
+    first[0] = 99
+    first[7] = 1
+    assert box_multiplicities(params) == {4: 1, -4: 1, 2: 2, -2: 2, 0: 3}
+
+
+def test_box_multiplicities_checks_run_on_first_computation(monkeypatch):
+    params = PretzelParams(9, 7)
+    pretzel._checked_box_multiplicities.cache_clear()
+    monkeypatch.setattr(pretzel, "_closed_form_multiplicities", lambda p: {0: 1})
+    try:
+        with pytest.raises(ValueError, match="closed form"):
+            box_multiplicities(params)
+        with pytest.raises(ValueError, match="closed form"):
+            classify(params)
+    finally:
+        monkeypatch.undo()
+        pretzel._checked_box_multiplicities.cache_clear()
+    assert box_multiplicities(params) == {3: 1, -3: 1, 1: 2, -1: 2}
 
 
 def test_expected_hfk_examples():
