@@ -41,6 +41,7 @@ log = logging.getLogger("cfku")
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 IO_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _usage_error(parser: argparse.ArgumentParser, command: str, message: str):
@@ -303,7 +304,12 @@ def main(argv: list[str] | None = None) -> int:
         "show": cmd_show,
         "examples": cmd_examples,
     }
-    return handlers[args.command](parser, args)
+    try:
+        return handlers[args.command](parser, args)
+    except ValueError as e:
+        # a hard check failed inside the computation, not in the input
+        sys.stderr.write("cfku: internal error: %s\n" % e)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

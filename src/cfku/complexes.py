@@ -17,6 +17,12 @@ Conventions used throughout:
     takes the step lengths of the top half listed from z_v inward.
   * Maslov gradings of staircases are normalized so the tower of
     H(B0-) = H(C{i<=0}) sits in grading 0.
+
+Complexes are validated once, where they are built or read: in
+build_staircase and dualize here, in the pretzel constructors, and in
+render.complex_from_json.  subquotient and everything downstream take
+their input as valid; graded_homology still checks d^2 = 0 on the raw
+matrices it is given.
 """
 
 from __future__ import annotations
@@ -118,16 +124,6 @@ def _compose(
         for t, c2 in by_source.get(mid, ()):
             key = (t, s)
             out[key] = up.ladd(out.get(key, up.lzero()), up.lmul(c2, coeff))
-    return {k: v for k, v in out.items() if v[1]}
-
-
-def map_add(
-    a: dict[tuple[int, int], tuple[int, int]],
-    b: dict[tuple[int, int], tuple[int, int]],
-) -> dict[tuple[int, int], tuple[int, int]]:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = up.ladd(out.get(k, up.lzero()), v)
     return {k: v for k, v in out.items() if v[1]}
 
 
@@ -260,6 +256,9 @@ def build_staircase(
                 arrow(src, "%s%d_%d" % (prefix, r + 1, side))
 
     c = FilteredComplex(gens, diff)
+    problems = validate(c)
+    if problems:
+        raise ValueError("staircase invalid: %s" % problems)
     shift_maslov(c, -b0_tower_grading(c))
     return c
 
@@ -322,7 +321,8 @@ def build_lspace_staircase(ws: tuple[int, ...]) -> tuple[FilteredComplex, int]:
     steps = tuple(reversed(steps_from_z0))
     c = build_staircase("positive", steps)
     n_of_k = sum(w * (-1) ** (len(ws) - 1 - k) for k, w in enumerate(ws))
-    assert n_of_k == staircase_n_of_k(steps)
+    if n_of_k != staircase_n_of_k(steps):
+        raise ValueError("n(K) %d disagrees with the staircase steps" % n_of_k)
     return c, n_of_k
 
 
@@ -367,10 +367,6 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
         raise ValueError("unknown region %r" % region)
     if region == "i0_j_w" and w is None:
         raise ValueError("region i0_j_w needs the diagonal w")
-    problems = validate(c)
-    if problems:
-        raise ValueError("cannot take subquotient of invalid complex: %s" % problems)
-
     basis = []
     slot = {}
     for k, g in enumerate(c.gens):

@@ -232,13 +232,14 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     return table
 
 
-def alexander_poly(c: FilteredComplex) -> dict[int, int]:
-    """Graded Euler characteristic, as exponent -> coefficient in t."""
+def alexander_poly(table: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Graded Euler characteristic of an hfk_hat table, exponent -> coefficient."""
     out: dict[int, int] = {}
-    for (w, k), rank in hfk_hat(c).items():
+    for (w, k), rank in table.items():
         out[w] = out.get(w, 0) + (-1) ** (k % 2) * rank
     return {w: coeff for w, coeff in sorted(out.items()) if coeff}
 
 
-def genus_detect(c: FilteredComplex) -> int:
-    return max(w for (w, _k) in hfk_hat(c))
+def genus_detect(table: dict[tuple[int, int], int]) -> int:
+    """Top Alexander grading of an hfk_hat table."""
+    return max(w for (w, _k) in table)

@@ -1,17 +1,15 @@
 """Model complexes and closed-form invariants of the knots P(-2, m, n).
 
 For odd m >= n >= 3 the full complex is one negative staircase plus a
-number of acyclic boxes per diagonal.  Box multiplicities are solved
-from the bigraded rank table (the system is tridiagonal in diagonals and
-solves greedily from the top); the printed factorization formula is kept
-as a cross-check in absolute value since its signs cannot be counts.
-The four model families differ in whether a box sits unpaired on the
-main diagonal and in the reflection behaviour of the staircase ends.
+number of acyclic boxes per diagonal.  Box multiplicities come from the
+closed form; the deep checks of report_dict tie them to the expected
+rank table.  The four model families differ in whether a box sits
+unpaired on the main diagonal and in the reflection behaviour of the
+staircase ends.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .complexes import (
@@ -21,11 +19,10 @@ from .complexes import (
     direct_sum,
     dualize,
     staircase_n_of_k,
-    subquotient,
     validate,
 )
-from .cone import build_cone, cone_homology, involutive_vs
-from .homology import GradedModule, hfk_hat, homology_over_U
+from .cone import involutive_invariants
+from .homology import alexander_poly, genus_detect, hfk_hat
 from .involution import (
     Involution,
     c1_box_coupling_rules,
@@ -99,10 +96,15 @@ def classify(params: PretzelParams) -> ModelSpec:
         n_of_k = (params.m + params.n - 2) // 4
     else:
         n_of_k = (params.m + params.n) // 4
-    assert n_of_k == staircase_n_of_k(params.steps)
+    if n_of_k != staircase_n_of_k(params.steps):
+        raise ValueError("n(K) %d disagrees with the staircase steps" % n_of_k)
     mults = box_multiplicities(params)
     main = mults.get(0, 0) % 2
-    assert main == (1 if family == "C1" else 0)
+    if main != (1 if family == "C1" else 0):
+        raise ValueError(
+            "%d main-diagonal boxes have the wrong parity for %s"
+            % (mults.get(0, 0), family)
+        )
     pair = {s: b for s, b in mults.items() if s != 0}
     if mults.get(0, 0) - main:
         pair[0] = mults[0] - main
@@ -182,52 +184,15 @@ def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
 
 
 def box_multiplicities(params: PretzelParams) -> dict[int, int]:
-    """Boxes per diagonal, solved from the rank table and hard-checked.
+    """Boxes per diagonal, from the closed form.
 
     A box on diagonal s contributes ranks 1, 2, 1 on diagonals s+1, s,
     s-1 of the i = 0 slice, so the expected-minus-staircase totals T(w)
-    satisfy T(w) = b_{w-1} + 2 b_w + b_{w+1}; solving from the genus
-    downward determines every b_s.
-
-    The solve and its checks run once per params in a process; every
-    call returns a fresh dict the caller may change.
+    satisfy T(w) = b_{w-1} + 2 b_w + b_{w+1}, which determines every
+    b_s from the genus downward.  So if the complex assembled from these
+    counts reproduces the rank table (hfk_match in report_dict), they
+    are the only counts that can.
     """
-    return dict(_checked_box_multiplicities(params))
-
-
-@functools.cache
-def _checked_box_multiplicities(params: PretzelParams) -> dict[int, int]:
-    g = params.g
-    expected = expected_hfk(params)
-    st = hfk_hat(build_staircase("negative", params.steps))
-    totals: dict[int, int] = {}
-    for (w, _k), r in expected.items():
-        totals[w] = totals.get(w, 0) + r
-    for (w, _k), r in st.items():
-        totals[w] = totals.get(w, 0) - r
-    b: dict[int, int] = {}
-    for w in range(g, 0, -1):
-        need = totals.get(w, 0) - 2 * b.get(w, 0) - b.get(w + 1, 0)
-        if need < 0:
-            raise ValueError("negative box count at diagonal %d" % (w - 1))
-        if need:
-            b[w - 1] = need
-    for s, count in list(b.items()):
-        if s > 0:
-            b[-s] = count
-    if totals.get(0, 0) != b.get(-1, 0) + 2 * b.get(0, 0) + b.get(1, 0):
-        raise ValueError("box system inconsistent on the main diagonal")
-    closed = _closed_form_multiplicities(params)
-    if closed != b:
-        raise ValueError(
-            "box counts %r disagree with the closed form %r" % (b, closed)
-        )
-    if hfk_hat(_assemble(params, b)) != expected:
-        raise ValueError("assembled complex does not reproduce the rank table")
-    return b
-
-
-def _closed_form_multiplicities(params: PretzelParams) -> dict[int, int]:
     g, n = params.g, params.n
     b: dict[int, int] = {}
     for k in range(1, (n - 5) // 2 + 1):
@@ -372,8 +337,6 @@ class InvariantReport:
     V0: int
     V0_lower: int
     V0_upper: int
-    a0_homology: GradedModule | None = None
-    cone_homology: GradedModule | None = None
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -410,19 +373,9 @@ def compute_invariants(
         cd = dualize(c)
         iota = dual_involution(iota, cd)
         c = cd
-    a0h = homology_over_U(subquotient(c, "A0minus"))
-    if len(a0h.free) != 1:
-        raise ValueError("A0- homology has %d towers, expected 1" % len(a0h.free))
-    if a0h.free[0][0] % 2:
-        raise ValueError("A0- tower grading is odd")
-    v0_value = -a0h.free[0][0] // 2
-    cone = build_cone(c, iota)
-    ch = cone_homology(cone)
-    lower, upper = involutive_vs(cone, ch)
     return InvariantReport(
         params.m, params.n, mirrored, spec.family, spec.v, spec.n_of_k,
-        box_multiplicities(params), v0_value, lower, upper,
-        a0_homology=a0h, cone_homology=ch,
+        box_multiplicities(params), *involutive_invariants(c, iota),
     )
 
 
@@ -436,10 +389,7 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
         full = full_complex(params)
         ledger = gmm_ledger(params)
         table = hfk_hat(full)
-        alex: dict[int, int] = {}
-        for (w, k), rank in table.items():
-            alex[w] = alex.get(w, 0) + (-1) ** (k % 2) * rank
-        alex = {w: c for w, c in alex.items() if c}
+        alex = alexander_poly(table)
         want_alex = expected_alexander(params)
         checks["hfk_match"] = table == expected_hfk(params)
         checks["alexander_match"] = (
@@ -447,7 +397,7 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
             and sum(alex.values()) == 1
             and all(alex.get(-w) == c for w, c in alex.items())
         )
-        checks["genus_match"] = max(w for w, _k in table) == params.g
+        checks["genus_match"] = genus_detect(table) == params.g
         checks["count_match"] = (
             len(full.gens) == len(ledger) == 4 + (m - 2) * (n - 2)
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import upoly as up
-from .complexes import FilteredComplex, Generator, SubquotientComplex
+from .complexes import FilteredComplex, Generator, SubquotientComplex, validate
 
 
 def complex_to_json(c: FilteredComplex) -> dict:
@@ -42,6 +42,9 @@ def complex_from_json(d: dict) -> FilteredComplex:
         for a in e["upowers"]:
             coeff = up.ladd(coeff, up.lmono(a))
         c.diff[(c.index(e["target"]), c.index(e["source"]))] = coeff
+    problems = validate(c)
+    if problems:
+        raise ValueError("invalid complex document: %s" % problems)
     return c
 
 

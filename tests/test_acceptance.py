@@ -154,12 +154,12 @@ def test_criterion_4_hfk_oracle():
 def test_criterion_5_alexander_genus():
     for m, n in odd_pairs(15):
         params = PretzelParams(m, n)
-        c = cached_full(m, n)
-        alex = alexander_poly(c)
+        table = cached_hfk(m, n)
+        alex = alexander_poly(table)
         assert alex == expected_alexander(params), (m, n)
         assert sum(alex.values()) == 1
         assert all(alex.get(-w) == coeff for w, coeff in alex.items())
-        assert genus_detect(c) == (m + n) // 2
+        assert genus_detect(table) == (m + n) // 2
 
 
 # 6. structural property suite

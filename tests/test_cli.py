@@ -1,6 +1,10 @@
 """CLI behaviour: exit codes, formats, parallel determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,34 @@ def test_output_error_exit_three(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "cannot write" in captured.err and "Traceback" not in captured.err
     assert not path.exists()
+
+
+def test_internal_error_exit_four(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("assembled pretzel complex invalid")
+
+    monkeypatch.setattr(cli, "report_dict", broken)
+    assert run(["invariants", "-m", "3", "-n", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cfku: internal error: assembled pretzel complex invalid\n"
+
+
+def test_process_exit_codes(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def code(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfku.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return proc.returncode
+
+    assert code("invariants", "-m", "3", "-n", "3", "--fast") == 0
+    assert code("verify", "--m-max", "3", "--jobs", "0") == 2
+    missing = tmp_path / "missing" / "r.txt"
+    assert code("invariants", "-m", "3", "-n", "3", "--fast", "--out", str(missing)) == 3
 
 
 def test_mismatch_exit_one(monkeypatch, capsys):
@@ -151,3 +183,9 @@ def test_complex_json_round_trip():
     assert c2.gens == c.gens and c2.diff == c.diff
     # text form parses back to the same document
     assert json.loads(render.to_json_text(d)) == d
+    # an arrow between two grading-0 generators breaks the grading law
+    bad = dict(d, differential=d["differential"] + [
+        {"source": "x", "target": "a", "upowers": [0]}
+    ])
+    with pytest.raises(ValueError, match="grading law"):
+        render.complex_from_json(bad)

@@ -7,6 +7,7 @@ is feasible.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
@@ -202,24 +203,50 @@ def test_q_action_structure():
         assert n - 2 * up.smith_normal_form(cone.d).rank == 2
 
 
-def test_pair_splitting_invariance():
-    for c, iota in [trefoil(), (figure_eight_complex(), None)]:
-        if iota is None:
-            iota = figure_eight_involution(c)
-        base = involutive_invariants(c, iota)
-        pair = direct_sum(
-            [build_box((0, 2), suffix="&1"), build_box((2, 0), suffix="&2")]
+def _staircase_with_involution(sign, steps):
+    c = build_staircase(sign, steps)
+    return c, standard_staircase_involution(c)
+
+
+def _figure_eight():
+    c = figure_eight_complex()
+    return c, figure_eight_involution(c)
+
+
+corners = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        _staircase_with_involution,
+        st.sampled_from(["positive", "negative"]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    ),
+    st.lists(corners, min_size=1, max_size=2),
+)
+@example(trefoil(), [(0, 2)])
+@example(_figure_eight(), [(0, 2)])
+def test_pair_splitting_invariance(base, pair_corners):
+    """Mirrored box pairs swapped by the square map leave the triple alone."""
+    c, iota = base
+    parts = [c]
+    for k, (i, j) in enumerate(pair_corners):
+        parts.append(build_box((i, j), suffix="&%d_1" % k))
+        parts.append(build_box((j, i), suffix="&%d_2" % k))
+    bigger = direct_sum(parts)
+    rules = {}
+    for (t, s), coeff in iota.map.matrix.items():
+        rules.setdefault(c.gens[s].label, []).extend(
+            (c.gens[t].label, a) for a in up.lterms(coeff)
         )
-        bigger = direct_sum([c, pair])
-        rules = {}
-        for (t, s), coeff in iota.map.matrix.items():
-            src = c.gens[s].label
-            rules.setdefault(src, []).extend(
-                (c.gens[t].label, a) for a in up.lterms(coeff)
-            )
-        rules.update(square_pair_rules(bigger, "&1", "&2"))
-        bigger_iota = involution_from_rules(bigger, rules)
-        assert involutive_invariants(bigger, bigger_iota) == base
+    for k in range(len(pair_corners)):
+        rules.update(square_pair_rules(bigger, "&%d_1" % k, "&%d_2" % k))
+    bigger_iota = involution_from_rules(bigger, rules)
+    assert involutive_invariants(bigger, bigger_iota) == involutive_invariants(c, iota)
+    cone = build_cone(bigger, bigger_iota)
+    if len(cone.labels) <= 60:
+        assert involutive_vs(cone) == brute_force_vs(cone)
 
 
 def test_restriction_rejects_region_leak():

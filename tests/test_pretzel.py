@@ -10,8 +10,8 @@ from collections import Counter
 
 import pytest
 
-from cfku import pretzel
-from cfku.complexes import dualize, validate
+from cfku import cli, pretzel
+from cfku.complexes import build_staircase, dualize, validate
 from cfku.involution import dual_involution, validate_involution
 from cfku.pretzel import (
     PretzelParams,
@@ -66,27 +66,50 @@ def test_box_multiplicities_examples():
     assert box_multiplicities(PretzelParams(3, 3)) == {}
 
 
-def test_box_multiplicities_returns_fresh_dict():
-    params = PretzelParams(9, 9)
-    first = box_multiplicities(params)
-    first[0] = 99
-    first[7] = 1
-    assert box_multiplicities(params) == {4: 1, -4: 1, 2: 2, -2: 2, 0: 3}
+def _rank_table_solve(params):
+    """Reference box counts: the tridiagonal system of
+    pretzel.box_multiplicities, solved from the genus downward."""
+    totals = Counter()
+    for (w, _k), r in expected_hfk(params).items():
+        totals[w] += r
+    for (w, _k), r in hfk_hat(build_staircase("negative", params.steps)).items():
+        totals[w] -= r
+    b = {}
+    for w in range(params.g, 0, -1):
+        need = totals[w] - 2 * b.get(w, 0) - b.get(w + 1, 0)
+        assert need >= 0, (params, w)
+        if need:
+            b[w - 1] = need
+    for s, count in list(b.items()):
+        if s > 0:
+            b[-s] = count
+    assert totals[0] == b.get(-1, 0) + 2 * b.get(0, 0) + b.get(1, 0)
+    return b
 
 
-def test_box_multiplicities_checks_run_on_first_computation(monkeypatch):
-    params = PretzelParams(9, 7)
-    pretzel._checked_box_multiplicities.cache_clear()
-    monkeypatch.setattr(pretzel, "_closed_form_multiplicities", lambda p: {0: 1})
-    try:
-        with pytest.raises(ValueError, match="closed form"):
-            box_multiplicities(params)
-        with pytest.raises(ValueError, match="closed form"):
-            classify(params)
-    finally:
-        monkeypatch.undo()
-        pretzel._checked_box_multiplicities.cache_clear()
-    assert box_multiplicities(params) == {3: 1, -3: 1, 1: 2, -1: 2}
+def test_box_multiplicities_match_rank_table_solve():
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            assert box_multiplicities(params) == _rank_table_solve(params), (m, n)
+
+
+def test_wrong_box_counts_fail_only_the_rank_table_check(monkeypatch, capsys):
+    # same generator count and main-diagonal parity as the true {3: 1, 1: 2}
+    wrong = {3: 1, -3: 1, 1: 1, -1: 1, 0: 2}
+    monkeypatch.setattr(pretzel, "box_multiplicities", lambda p: dict(wrong))
+    checks = report_dict(9, 7, False, deep=True)["checks"]
+    assert checks["theorem_match"] is True
+    assert checks["count_match"] is True
+    assert checks["hfk_match"] is False
+    assert cli.main(["invariants", "-m", "9", "-n", "7"]) == cli.MISMATCH_ERROR
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_classify_rejects_wrong_main_diagonal_parity(monkeypatch):
+    monkeypatch.setattr(pretzel, "box_multiplicities", lambda p: {0: 2})
+    with pytest.raises(ValueError, match="parity"):
+        classify(PretzelParams(5, 5))
 
 
 def test_expected_hfk_examples():
@@ -114,9 +137,10 @@ def test_full_complex_matches_rank_table():
         c = full_complex(params)
         assert validate(c) == []
         assert len(c.gens) == 4 + (m - 2) * (n - 2)
-        assert hfk_hat(c) == expected_hfk(params)
-        assert alexander_poly(c) == expected_alexander(params)
-        assert genus_detect(c) == params.g
+        table = hfk_hat(c)
+        assert table == expected_hfk(params)
+        assert alexander_poly(table) == expected_alexander(params)
+        assert genus_detect(table) == params.g
 
 
 def test_ledger_counts_and_positions():
