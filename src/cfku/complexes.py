@@ -56,14 +56,6 @@ class FilteredComplex:
                 return k
         raise KeyError(label)
 
-    def boundary_of(self, label: str) -> dict[str, tuple[int, int]]:
-        s = self.index(label)
-        return {
-            self.gens[t].label: coeff
-            for (t, ss), coeff in sorted(self.diff.items())
-            if ss == s and coeff[1]
-        }
-
 
 @dataclass
 class ChainMap:

@@ -121,7 +121,10 @@ def involutive_vs(cone: ConeComplex, h: GradedModule | None = None) -> tuple[int
     return (-(g1 - 1) // 2, -g2 // 2)
 
 
-def brute_force_vs(cone: ConeComplex, extra_depth: int = 8) -> tuple[int, int]:
+EXTRA_DEPTH = 8  # U-powers of slack in the cap of brute_force_vs
+
+
+def brute_force_vs(cone: ConeComplex) -> tuple[int, int]:
     """Correction terms by direct enumeration of homogeneous classes.
 
     Works entirely in summand coordinates of the cone homology.  A class
@@ -129,7 +132,8 @@ def brute_force_vs(cone: ConeComplex, extra_depth: int = 8) -> tuple[int, int]:
     the largest torsion order.  Membership of U^n x in the image of Q is
     upward closed in n because the image is a U-submodule, so a single
     test at a generous cap n = M decides both quantifiers up to M; the
-    cap exceeds every U-power the finite homology can see.
+    cap, the largest torsion order plus half the grading spread plus
+    EXTRA_DEPTH, exceeds every U-power the finite homology can see.
     """
     h = cone_homology(cone)
     nf, nt = len(h.free), len(h.torsion)
@@ -139,7 +143,7 @@ def brute_force_vs(cone: ConeComplex, extra_depth: int = 8) -> tuple[int, int]:
     orders = [None] * nf + [k for _g, k, _ in h.torsion]
     maxtors = max((k for _g, k, _ in h.torsion), default=0)
     spread = max(gradings) - min(gradings)
-    cap = maxtors + spread // 2 + extra_depth
+    cap = maxtors + spread // 2 + EXTRA_DEPTH
 
     # image of Q in summand coordinates, with torsion relations adjoined
     qcols = []

@@ -3,10 +3,12 @@
 The decomposition works in two Smith normal form passes: one on the
 differential to split off the kernel, and one on the relation matrix of
 the image inside the kernel to read off the tower and torsion summands.
-Both passes track the unimodular transforms and their inverses, so every
-summand comes with an explicit cycle representative and any cycle can be
-rewritten in summand coordinates (needed for induced maps and for the
-image-of-Q tests in the involutive invariants).
+Both matrices must be graded, every nonzero entry a single monomial U^a;
+smith_normal_form raises ValueError otherwise, which the CLI reports as
+an internal error (exit 4).  Both passes track the unimodular transforms
+and their inverses, so every summand comes with an explicit cycle
+representative and any cycle can be rewritten in summand coordinates
+(needed for the image-of-Q tests in the involutive invariants).
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class GradedModule:
             tc.append(w[r] & (up.mono(order) - 1))
         return fc, tc
 
-    def is_zero_class(self, x: list[int]) -> bool:
-        fc, tc = self.class_coords(x)
-        return not any(fc) and not any(tc)
-
 
 def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
     """Homology of an F2[U]-complex given by one square matrix d, d^2=0."""
@@ -114,10 +112,6 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
             free.append((grading, rep))
             free_slots.append(r)
         else:
-            if not up.is_mono(order_poly):
-                raise ValueError(
-                    "non-monomial torsion order; complex is not graded-monomial"
-                )
             torsion.append((grading, up.deg(order_poly), rep))
             torsion_slots.append(r)
     return GradedModule(
@@ -134,31 +128,6 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
 
 def homology_over_U(sq: SubquotientComplex) -> GradedModule:
     return graded_homology(sq.matrix(), sq.maslov)
-
-
-def localized_rank(d: list[list[int]]) -> int:
-    """Rank over F2[U, U^-1] of the homology of the square matrix d."""
-    n = len(d)
-    return n - 2 * up.smith_normal_form(d).rank
-
-
-def induced_map(
-    f: list[list[int]], source: GradedModule, target: GradedModule
-) -> list[list[int]]:
-    """Matrix of the induced map on homology in summand-generator bases.
-
-    Columns run over source free then torsion generators; rows over
-    target free then torsion coordinates.
-    """
-    cols = []
-    for _, rep in source.free:
-        fc, tc = target.class_coords(up.mat_vec(f, rep))
-        cols.append(fc + tc)
-    for _, _, rep in source.torsion:
-        fc, tc = target.class_coords(up.mat_vec(f, rep))
-        cols.append(fc + tc)
-    rows = len(target.free) + len(target.torsion)
-    return [[col[r] for col in cols] for r in range(rows)]
 
 
 def v0(c: FilteredComplex) -> int:

@@ -125,12 +125,6 @@ def square_pair_rules(c: FilteredComplex, suffix1: str, suffix2: str) -> Rules:
     }
 
 
-def standard_square_pair_map(
-    c: FilteredComplex, suffix1: str = "", suffix2: str = "'"
-) -> Involution:
-    return involution_from_rules(c, square_pair_rules(c, suffix1, suffix2))
-
-
 def c1_box_coupling_rules(box_suffix: str = "", prefix: str = "z") -> Rules:
     """The coupled staircase/box part of the C1 involution."""
     a, b, cc, ue = ("a" + box_suffix, "b" + box_suffix, "c" + box_suffix,

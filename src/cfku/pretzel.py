@@ -266,10 +266,9 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
 def gmm_ledger(params: PretzelParams) -> list[tuple[str, tuple[int, int], str]]:
     """Published generator list: (label, (i, j), exceptional or ordinary).
 
-    Positions use i-offset 0.  The x_{2p,2q+1} line is recorded as
-    printed but its filtration levels are not trusted (see
-    gmm_flagged_labels); the ledger is a counting and exceptional-
-    position cross-check only.
+    Positions use i-offset 0.  The x_{2p,2q+1} line (p >= 1) is recorded
+    as printed but its filtration levels are not trusted; the ledger is a
+    counting and exceptional-position cross-check only.
     """
     ga, de = params.gamma, params.delta
     mp, np_ = params.mprime, params.nprime
@@ -300,25 +299,6 @@ def gmm_ledger(params: PretzelParams) -> list[tuple[str, tuple[int, int], str]]:
                 ("x_%d_%d" % (2 * p, 2 * q), (ga + mp + p - q, de - mp - p + q - 1), "ordinary")
             )
     return out
-
-
-def gmm_flagged_labels(params: PretzelParams) -> set[str]:
-    """Labels whose printed filtration levels are recorded but not trusted."""
-    return {
-        "x_%d_%d" % (2 * p, 2 * q + 1)
-        for p in range(1, params.nprime + 1)
-        for q in range(0, params.mprime + 1)
-    }
-
-
-def gmm_exceptional_arrows(params: PretzelParams) -> list[tuple[str, str, tuple[int, int]]]:
-    """Differential rows through the exceptional generators, as drops."""
-    return [
-        ("y1", "y2", (0, 1)),
-        ("y4", "y3", (1, 0)),
-        ("x_1_1", "y2", (2, 0)),
-        ("x_%d_%d" % (params.n - 2, params.m - 2), "y3", (0, 2)),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,27 @@ def complex_to_json(c: FilteredComplex) -> dict:
 
 
 def complex_from_json(d: dict) -> FilteredComplex:
-    gens = [
-        Generator(g["label"], g["maslov"], g["i"], g["j"]) for g in d["generators"]
-    ]
-    c = FilteredComplex(gens)
-    for e in d["differential"]:
-        coeff = up.lzero()
-        for a in e["upowers"]:
-            coeff = up.ladd(coeff, up.lmono(a))
-        c.diff[(c.index(e["target"]), c.index(e["source"]))] = coeff
+    """Read and validate a complex document; any fault raises ValueError."""
+    try:
+        gens = [
+            Generator(g["label"], g["maslov"], g["i"], g["j"]) for g in d["generators"]
+        ]
+        c = FilteredComplex(gens)
+        for e in d["differential"]:
+            key = (c.index(e["target"]), c.index(e["source"]))
+            if key in c.diff:
+                raise ValueError(
+                    "invalid complex document: repeated arrow %s -> %s"
+                    % (e["source"], e["target"])
+                )
+            coeff = up.lzero()
+            for a in e["upowers"]:
+                coeff = up.ladd(coeff, up.lmono(a))
+            c.diff[key] = coeff
+    except KeyError as exc:
+        raise ValueError(
+            "invalid complex document: missing field or unknown generator %s" % exc
+        ) from None
     problems = validate(c)
     if problems:
         raise ValueError("invalid complex document: %s" % problems)

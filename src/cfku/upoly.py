@@ -9,10 +9,13 @@ Laurent elements (finite sums of U^k with k possibly negative) are
 (shift, mask) pairs meaning U^shift * mask, normalized so that either
 mask == 0 and shift == 0, or bit 0 of mask is set.
 
-Matrices are dense lists of rows of ints.  smith_normal_form returns the
-diagonal together with the unimodular transforms L, R and their inverses,
-so callers can move vectors between the original and diagonal bases in
-both directions without re-solving anything.
+Matrices are dense lists of rows of ints.  smith_normal_form takes only
+graded matrices, whose nonzero entries are single monomials U^a with a
+fixed by a row and a column grading, as every differential and map of a
+graded complex is; it raises ValueError on any other matrix.  It returns
+the diagonal together with the unimodular transforms L, R and their
+inverses, so callers can move vectors between the original and diagonal
+bases in both directions without re-solving anything.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ def deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def is_mono(p: int) -> bool:
-    return p != 0 and p & (p - 1) == 0
-
-
 def mul(a: int, b: int) -> int:
     """Carry-less product of two bitmask polynomials."""
     if a == 0 or b == 0:
@@ -53,45 +52,6 @@ def mul(a: int, b: int) -> int:
         out ^= b << (low.bit_length() - 1)
         a ^= low
     return out
-
-
-def divmod_poly(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of a by b, deg(r) < deg(b)."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = deg(b)
-    q = 0
-    while True:
-        da = deg(a)
-        if da < db:
-            return q, a
-        shift = da - db
-        q ^= 1 << shift
-        a ^= b << shift
-
-
-def divides(b: int, a: int) -> bool:
-    """Whether b divides a (0 divides only 0)."""
-    if b == 0:
-        return a == 0
-    return divmod_poly(a, b)[1] == 0
-
-
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    return a
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Returns (g, s, t) with s*a + t*b == g == gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod_poly(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 ^ mul(q, s1)
-        t0, t1 = t1, t0 ^ mul(q, t1)
-    return a, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +112,6 @@ def lfrompoly(p: int) -> tuple[int, int]:
     return lnormal(0, p)
 
 
-def lto_poly(x: tuple[int, int]) -> int:
-    """The bitmask of x, which must have no negative exponents."""
-    shift, mask = x
-    if mask == 0:
-        return 0
-    if shift < 0:
-        raise ValueError("Laurent element has negative exponents: %r" % (x,))
-    return mask << shift
-
-
 # ---------------------------------------------------------------------------
 # Matrices over F2[U]
 
@@ -205,12 +155,6 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return out
 
 
-def mat_is_identity(a: list[list[int]]) -> bool:
-    return all(
-        x == (1 if i == j else 0) for i, row in enumerate(a) for j, x in enumerate(row)
-    )
-
-
 @dataclass
 class SNF:
     """L @ M @ R == diag(d) with L, R unimodular; Linv, Rinv their inverses."""
@@ -224,12 +168,14 @@ class SNF:
 
 
 def smith_normal_form(matrix: list[list[int]]) -> SNF:
-    """Diagonalize over F2[U] with each diagonal entry dividing the next.
+    """Diagonalize a graded matrix over F2[U] by monomial elimination.
 
-    Pivots are chosen by minimal degree, ties broken by lowest row then
-    column.  For matrices whose entries are monomials compatible with a
-    grading this choice keeps every intermediate entry homogeneous, so
-    the returned basis vectors of graded matrices stay homogeneous.
+    The pivot is the entry of lowest exponent in the remaining block, ties
+    broken by lowest row then column.  No entry of its row or column has
+    a lower exponent, so shifts clear both, and the diagonal exponents
+    come out nondecreasing.  The pivot scan reads every entry the
+    elimination writes, so a non-monomial entry, in the input or created
+    by clearing an ungraded matrix, raises ValueError.
     """
     m = [row[:] for row in matrix]
     rows = len(m)
@@ -239,142 +185,64 @@ def smith_normal_form(matrix: list[list[int]]) -> SNF:
     R = mat_identity(cols)
     Rinv = mat_identity(cols)
 
-    def row_add(i, t, q):
-        # row_i += q * row_t on m and L; inverse acts on Linv columns
-        mt, lt = m[t], L[t]
-        mi, li = m[i], L[i]
-        for j in range(cols):
-            if mt[j]:
-                mi[j] ^= mul(q, mt[j])
-        for j in range(rows):
-            if lt[j]:
-                li[j] ^= mul(q, lt[j])
-        for r in range(rows):
-            if Linv[r][i]:
-                Linv[r][t] ^= mul(q, Linv[r][i])
-
-    def row_swap(i, t):
-        m[i], m[t] = m[t], m[i]
-        L[i], L[t] = L[t], L[i]
-        for r in range(rows):
-            Linv[r][i], Linv[r][t] = Linv[r][t], Linv[r][i]
-
-    def row_pair(i, t):
-        # unimodular transform on rows (t, i) putting gcd(m[t][t], m[i][t])
-        # into the pivot slot and 0 below it
-        p, a = m[t][t], m[i][t]
-        g, s, u = xgcd(p, a)
-        alpha = divmod_poly(a, g)[0]
-        beta = divmod_poly(p, g)[0]
-        for mat in (m, L):
-            rt, ri = mat[t], mat[i]
-            for j in range(len(rt)):
-                x, y = rt[j], ri[j]
-                rt[j] = mul(s, x) ^ mul(u, y)
-                ri[j] = mul(alpha, x) ^ mul(beta, y)
-        for r in range(rows):
-            x, y = Linv[r][t], Linv[r][i]
-            Linv[r][t] = mul(beta, x) ^ mul(alpha, y)
-            Linv[r][i] = mul(u, x) ^ mul(s, y)
-
-    def col_add(j, t, q):
-        # col_j += q * col_t on m and R; inverse acts on Rinv rows
-        for r in range(rows):
-            if m[r][t]:
-                m[r][j] ^= mul(q, m[r][t])
-        for r in range(cols):
-            if R[r][t]:
-                R[r][j] ^= mul(q, R[r][t])
-        rj = Rinv[j]
-        rt = Rinv[t]
-        for c in range(cols):
-            if rj[c]:
-                rt[c] ^= mul(q, rj[c])
-
-    def col_swap(j, t):
-        for r in range(rows):
-            m[r][j], m[r][t] = m[r][t], m[r][j]
-        for r in range(cols):
-            R[r][j], R[r][t] = R[r][t], R[r][j]
-        Rinv[j], Rinv[t] = Rinv[t], Rinv[j]
-
-    def col_pair(j, t):
-        # unimodular transform on columns (t, j); dual of row_pair
-        p, b = m[t][t], m[t][j]
-        g, s, u = xgcd(p, b)
-        alpha = divmod_poly(b, g)[0]
-        beta = divmod_poly(p, g)[0]
-        for mat, n in ((m, rows), (R, cols)):
-            for r in range(n):
-                x, y = mat[r][t], mat[r][j]
-                mat[r][t] = mul(s, x) ^ mul(u, y)
-                mat[r][j] = mul(alpha, x) ^ mul(beta, y)
-        rt, rj = Rinv[t], Rinv[j]
-        for c in range(cols):
-            x, y = rt[c], rj[c]
-            rt[c] = mul(beta, x) ^ mul(alpha, y)
-            rj[c] = mul(u, x) ^ mul(s, y)
-
-    def find_pivot(t):
+    for t in range(min(rows, cols)):
         best = None
         for i in range(t, rows):
             mi = m[i]
             for j in range(t, cols):
                 p = mi[j]
-                if p and (best is None or deg(p) < best[0]):
-                    best = (deg(p), i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        best = find_pivot(t)
+                if p:
+                    if p & (p - 1):
+                        raise ValueError(
+                            "entry (%d, %d) is not a monomial: matrix is not graded" % (i, j)
+                        )
+                    if best is None or p < best[0]:
+                        best = (p, i, j)
         if best is None:
             break
-        _, pi, pj = best
+        p, pi, pj = best
+        e = deg(p)
         if pi != t:
-            row_swap(pi, t)
+            m[pi], m[t] = m[t], m[pi]
+            L[pi], L[t] = L[t], L[pi]
+            for lr in Linv:
+                lr[pi], lr[t] = lr[t], lr[pi]
         if pj != t:
-            col_swap(pj, t)
-        while True:
-            # Clear column t.  The gcd transforms also rewrite row t, and
-            # their column-side duals rewrite column t, so alternate until
-            # a pass needs no gcd step; each gcd step strictly drops the
-            # pivot degree, which bounds the number of passes.
-            for i in range(t + 1, rows):
-                a = m[i][t]
-                if a:
-                    q, r = divmod_poly(a, m[t][t])
-                    if r:
-                        row_pair(i, t)
-                    else:
-                        row_add(i, t, q)
-            col_gcd_used = False
-            for j in range(t + 1, cols):
-                b = m[t][j]
-                if b:
-                    q, r = divmod_poly(b, m[t][t])
-                    if r:
-                        col_pair(j, t)
-                        col_gcd_used = True
-                    else:
-                        col_add(j, t, q)
-            if col_gcd_used:
+            for mat in (m, R):
+                for r in mat:
+                    r[pj], r[t] = r[t], r[pj]
+            Rinv[pj], Rinv[t] = Rinv[t], Rinv[pj]
+        mt, lt = m[t], L[t]
+        for i in range(t + 1, rows):
+            if not m[i][t]:
                 continue
-            # column and row t are clear; enforce divisibility of the
-            # remaining block by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                mi = m[i]
-                for j in range(t + 1, cols):
-                    if mi[j] and not divides(m[t][t], mi[j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
+            # row_i += U^s row_t on m and L; the inverse acts on Linv columns
+            s = deg(m[i][t]) - e
+            mi, li = m[i], L[i]
+            for j in range(t, cols):
+                if mt[j]:
+                    mi[j] ^= mt[j] << s
+            for j in range(rows):
+                if lt[j]:
+                    li[j] ^= lt[j] << s
+            for lr in Linv:
+                if lr[i]:
+                    lr[t] ^= lr[i] << s
+        rt = Rinv[t]
+        for j in range(t + 1, cols):
+            if not mt[j]:
+                continue
+            # col_j += U^s col_t on m and R; the inverse acts on Rinv rows.
+            # Column t of m is clear but for the pivot, so m changes only at m[t][j].
+            s = deg(mt[j]) - e
+            mt[j] = 0
+            for r in R:
+                if r[t]:
+                    r[j] ^= r[t] << s
+            rj = Rinv[j]
+            for c in range(cols):
+                if rj[c]:
+                    rt[c] ^= rj[c] << s
 
     d = [m[i][i] for i in range(min(rows, cols))]
     rank = sum(1 for x in d if x)
@@ -395,10 +263,10 @@ def solve(a: list[list[int]], b: list[int], snf: SNF | None = None) -> list[int]
             if c[k]:
                 return None
             continue
-        q, r = divmod_poly(c[k], dk)
-        if r:
+        # dk is a monomial U^e: divisible iff the low e bits vanish
+        if c[k] & (dk - 1):
             return None
-        y[k] = q
+        y[k] = c[k] >> deg(dk)
     for k in range(min(rows, cols), rows):
         if c[k]:
             return None

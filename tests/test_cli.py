@@ -189,3 +189,12 @@ def test_complex_json_round_trip():
     ])
     with pytest.raises(ValueError, match="grading law"):
         render.complex_from_json(bad)
+    # an unlisted generator, a missing field and a repeated arrow
+    arrows = d["differential"]
+    for bad in (
+        dict(d, differential=arrows + [{"source": "x", "target": "nosuch", "upowers": [0]}]),
+        dict(d, differential=arrows + [{"source": "x", "target": "a"}]),
+        dict(d, differential=arrows + [dict(arrows[0])]),
+    ):
+        with pytest.raises(ValueError, match="invalid complex document"):
+            render.complex_from_json(bad)

@@ -31,7 +31,6 @@ from cfku.involution import (
     involution_from_rules,
     model_involution,
     square_pair_rules,
-    standard_square_pair_map,
     standard_staircase_involution,
     validate_involution,
 )
@@ -72,20 +71,20 @@ def test_staircase_involution_rejects_non_staircase():
 
 def test_square_pair_main_diagonal():
     pair = direct_sum([build_box((0, 0), suffix="1"), build_box((0, 0), suffix="2")])
-    iota = standard_square_pair_map(pair, "1", "2")
+    iota = involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
     assert validate_involution(iota) == []
 
 
 def test_square_pair_off_diagonal():
     pair = direct_sum([build_box((0, 2), suffix="1"), build_box((2, 0), suffix="2")])
-    iota = standard_square_pair_map(pair, "1", "2")
+    iota = involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
     assert validate_involution(iota) == []
 
 
 def test_square_pair_rejects_unmirrored():
     pair = direct_sum([build_box((0, 2), suffix="1"), build_box((1, 0), suffix="2")])
     with pytest.raises(ValueError):
-        standard_square_pair_map(pair, "1", "2")
+        involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
 
 
 def test_square_pair_fault_injection():
@@ -262,12 +261,13 @@ def _mask_to_matrix(variables, mask):
 
 
 def _is_laurent_unimodular(matrix, n):
+    # U^shift * matrix has entries in F2[U]; its SNF diagonal is monomial,
+    # hence a unit over F2[U, U^-1] wherever it is nonzero
     shift = max((-min(up.lterms(v)) for v in matrix.values() if v[1]), default=0)
     m = up.mat_zero(n, n)
-    for (t, s), coeff in matrix.items():
-        m[t][s] = up.lto_poly(up.lshift(coeff, shift))
-    snf = up.smith_normal_form(m)
-    return snf.rank == n and all(up.is_mono(d) for d in snf.d)
+    for (t, s), (k, mask) in matrix.items():
+        m[t][s] = mask << (k + shift)
+    return up.smith_normal_form(m).rank == n
 
 
 @pytest.mark.slow

@@ -22,8 +22,6 @@ from cfku.pretzel import (
     expected_hfk,
     full_complex,
     full_involution,
-    gmm_exceptional_arrows,
-    gmm_flagged_labels,
     gmm_ledger,
     model_complex,
     model_involution_for,
@@ -171,20 +169,18 @@ def test_ledger_plane_multiset_property():
         y1 = next(p for lab, p, _ in ledger if lab == "y1")
         t = zpos[0] - y1[0]
         assert zpos[1] - y1[1] == t  # the shift is diagonal
-        flagged = gmm_flagged_labels(params)
+        # the x_{2p,2q+1} lines (p >= 1) whose printed levels are not trusted
+        flagged = {
+            "x_%d_%d" % (2 * p, 2 * q + 1)
+            for p in range(1, params.nprime + 1)
+            for q in range(0, params.mprime + 1)
+        }
         cpos = Counter((g.i, g.j) for g in c.gens)
         lpos = Counter(
             (i + t, j + t) for lab, (i, j), _ in ledger if lab not in flagged
         )
         assert not (lpos - cpos)  # ledger fits inside the complex
         assert sum((cpos - lpos).values()) == len(flagged)
-
-
-def test_exceptional_arrow_drops():
-    arrows = gmm_exceptional_arrows(PretzelParams(7, 5))
-    drops = sorted(d for _s, _t, d in arrows)
-    assert drops == [(0, 1), (0, 2), (1, 0), (2, 0)]
-    assert ("x_3_5", "y3", (0, 2)) in arrows
 
 
 def test_theorem_values_examples():
