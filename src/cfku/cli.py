@@ -229,20 +229,17 @@ def _example(name: str, ws: list[int]):
 
 
 def cmd_examples(parser, args) -> int:
+    if args.jumps and args.name != "lspace":
+        _usage_error(parser, "examples", "only lspace takes jumps, not %r" % args.name)
     try:
         c, iota = _example(args.name, args.jumps)
     except ValueError as e:
         parser.error(str(e))
-    from . import upoly as up
-
     triple = involutive_invariants(c, iota)
     lines = [render.generator_table(c).rstrip("\n")]
     images: dict[int, list[str]] = {}
-    for (t, s), coeff in sorted(iota.map.matrix.items()):
-        for a in up.lterms(coeff):
-            images.setdefault(s, []).append(
-                ("U^%d " % a if a else "") + c.gens[t].label
-            )
+    for (t, s), a in sorted(iota.map.matrix.items()):
+        images.setdefault(s, []).append(("U^%d " % a if a else "") + c.gens[t].label)
     for s in sorted(images):
         lines.append("iota(%s) = %s" % (c.gens[s].label, " + ".join(images[s])))
     lines.append("V0 = %d, lower V0 = %d, upper V0 = %d" % triple)

@@ -1,10 +1,16 @@
 """(Z + Z)-filtered, Z-graded chain complexes over F2[U, U^-1].
 
 A complex is a finite list of generators, each anchored at the plane
-position (i, j) of its U^0 representative, together with a differential
-matrix whose entries are powers of U.  The U-action translates a
+position (i, j) of its U^0 representative, together with a sparse
+differential whose entries are powers of U.  The U-action translates a
 generator down the diagonal, so a finite basis presents the whole
 infinitely generated complex.
+
+Every sparse map here (differential, chain map, subquotient
+differential) stores an entry as the one exponent a of U^a: the grading
+law fixes a for each pair of generators, so an entry of a graded map is
+never a sum of two powers.  Sums over F2 go through add_term, which
+cancels equal powers and rejects two different ones as not graded.
 
 Conventions used throughout:
 
@@ -31,6 +37,9 @@ from dataclasses import dataclass, field
 
 from . import upoly as up
 
+# (target index, source index) -> a, for the entry U^a
+SparseMap = dict[tuple[int, int], int]
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -47,8 +56,8 @@ class Generator:
 @dataclass
 class FilteredComplex:
     gens: list[Generator]
-    # diff[(t, s)] = Laurent coefficient of gens[t] in the boundary of gens[s]
-    diff: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    # diff[(t, s)] = a: the boundary of gens[s] contains U^a gens[t]
+    diff: SparseMap = field(default_factory=dict)
 
     def index(self, label: str) -> int:
         for k, g in enumerate(self.gens):
@@ -61,7 +70,7 @@ class FilteredComplex:
 class ChainMap:
     source: FilteredComplex
     target: FilteredComplex
-    matrix: dict[tuple[int, int], tuple[int, int]]
+    matrix: SparseMap
     filtration_kind: str  # "filtered" or "skew-filtered"
     maslov_shift: int = 0
 
@@ -71,14 +80,14 @@ class SubquotientComplex:
     """F2[U]-complex spanned by the minimal U-translates inside a region.
 
     basis[k] = (generator index in parent, U-power k0 of the translate);
-    maslov[k] is the grading of U^k0 x; diff entries are F2[U] monomials.
+    maslov[k] is the grading of U^k0 x; diff[(t, s)] = e means U^e, e >= 0.
     """
 
     parent: FilteredComplex
     region: str
     basis: list[tuple[int, int]]
     maslov: list[int]
-    diff: dict[tuple[int, int], int]
+    diff: SparseMap
 
     def labels(self) -> list[str]:
         out = []
@@ -94,8 +103,8 @@ class SubquotientComplex:
     def matrix(self) -> list[list[int]]:
         n = len(self.basis)
         m = up.mat_zero(n, n)
-        for (t, s), p in self.diff.items():
-            m[t][s] = p
+        for (t, s), e in self.diff.items():
+            m[t][s] = up.mono(e)
         return m
 
 
@@ -103,20 +112,25 @@ class SubquotientComplex:
 # Validation
 
 
-def _compose(
-    a: dict[tuple[int, int], tuple[int, int]],
-    b: dict[tuple[int, int], tuple[int, int]],
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Sparse product a after b of Laurent matrices."""
-    by_source: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (t, s), coeff in a.items():
-        by_source.setdefault(s, []).append((t, coeff))
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for (mid, s), coeff in b.items():
-        for t, c2 in by_source.get(mid, ()):
-            key = (t, s)
-            out[key] = up.ladd(out.get(key, up.lzero()), up.lmul(c2, coeff))
-    return {k: v for k, v in out.items() if v[1]}
+def add_term(m: SparseMap, key: tuple[int, int], a: int) -> None:
+    """Add U^a to entry key over F2; a second, different power is an error."""
+    b = m.pop(key, None)
+    if b is None:
+        m[key] = a
+    elif b != a:
+        raise ValueError("entry %r sums U^%d and U^%d: map is not graded" % (key, b, a))
+
+
+def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
+    """Sparse product a after b of graded maps."""
+    by_source: dict[int, list[tuple[int, int]]] = {}
+    for (t, s), e in a.items():
+        by_source.setdefault(s, []).append((t, e))
+    out: SparseMap = {}
+    for (mid, s), e in b.items():
+        for t, e2 in by_source.get(mid, ()):
+            add_term(out, (t, s), e2 + e)
+    return out
 
 
 def validate(c: FilteredComplex) -> list[str]:
@@ -125,21 +139,19 @@ def validate(c: FilteredComplex) -> list[str]:
     labels = [g.label for g in c.gens]
     if len(set(labels)) != len(labels):
         problems.append("duplicate generator labels")
-    for (t, s), coeff in c.diff.items():
-        if not coeff[1]:
-            continue
+    for (t, s), a in c.diff.items():
         gs, gt = c.gens[s], c.gens[t]
-        for a in up.lterms(coeff):
-            if gt.maslov - 2 * a != gs.maslov - 1:
-                problems.append(
-                    "grading law broken on U^%d %s in d(%s)" % (a, gt.label, gs.label)
-                )
-            if not (gt.i - a <= gs.i and gt.j - a <= gs.j):
-                problems.append(
-                    "filtration law broken on U^%d %s in d(%s)"
-                    % (a, gt.label, gs.label)
-                )
-    for (t, s), coeff in _compose(c.diff, c.diff).items():
+        if gt.maslov - 2 * a != gs.maslov - 1:
+            problems.append(
+                "grading law broken on U^%d %s in d(%s)" % (a, gt.label, gs.label)
+            )
+        if not (gt.i - a <= gs.i and gt.j - a <= gs.j):
+            problems.append(
+                "filtration law broken on U^%d %s in d(%s)" % (a, gt.label, gs.label)
+            )
+    if problems:
+        return problems
+    for t, s in _compose(c.diff, c.diff):
         problems.append(
             "d^2 != 0: d^2(%s) contains %s" % (c.gens[s].label, c.gens[t].label)
         )
@@ -147,27 +159,23 @@ def validate(c: FilteredComplex) -> list[str]:
 
 
 def validate_chain_map(f: ChainMap) -> list[str]:
+    """Entry laws first; the commutation products need a graded map."""
     problems = []
-    fd = _compose(f.matrix, f.source.diff)
-    df = _compose(f.target.diff, f.matrix)
-    if fd != df:
-        problems.append("does not commute with the differentials")
-    for (t, s), coeff in f.matrix.items():
-        if not coeff[1]:
-            continue
+    for (t, s), a in f.matrix.items():
         gs = f.source.gens[s]
         gt = f.target.gens[t]
-        for a in up.lterms(coeff):
-            if gt.maslov - 2 * a != gs.maslov + f.maslov_shift:
-                problems.append(
-                    "Maslov shift broken on U^%d %s in f(%s)" % (a, gt.label, gs.label)
-                )
-            si, sj = (gs.i, gs.j) if f.filtration_kind == "filtered" else (gs.j, gs.i)
-            if not (gt.i - a <= si and gt.j - a <= sj):
-                problems.append(
-                    "%s law broken on U^%d %s in f(%s)"
-                    % (f.filtration_kind, a, gt.label, gs.label)
-                )
+        if gt.maslov - 2 * a != gs.maslov + f.maslov_shift:
+            problems.append(
+                "Maslov shift broken on U^%d %s in f(%s)" % (a, gt.label, gs.label)
+            )
+        si, sj = (gs.i, gs.j) if f.filtration_kind == "filtered" else (gs.j, gs.i)
+        if not (gt.i - a <= si and gt.j - a <= sj):
+            problems.append(
+                "%s law broken on U^%d %s in f(%s)"
+                % (f.filtration_kind, a, gt.label, gs.label)
+            )
+    if not problems and _compose(f.matrix, f.source.diff) != _compose(f.target.diff, f.matrix):
+        problems.append("does not commute with the differentials")
     return problems
 
 
@@ -182,7 +190,8 @@ def build_staircase(
 
     sign "positive" gives the L-space-knot shape (z0 a source for odd v);
     "negative" the mirrored shape.  Gradings are normalized so that the
-    tower of H(B0-) sits in grading 0.
+    tower of H(B0-) sits in grading 0: sources sit in grading 2 n(K) on a
+    negative staircase and 1 - 2 n(K) on a positive one, sinks one lower.
     """
     if sign not in ("positive", "negative"):
         raise ValueError("sign must be positive or negative")
@@ -194,21 +203,14 @@ def build_staircase(
     lengths = {r: step_lengths[v - r] for r in range(1, v + 1)}  # l_r, r from z0 out
 
     def is_source(r: int) -> bool:
-        if sign == "negative":
-            return r % 2 == v % 2
-        return r % 2 != v % 2
+        return (r % 2 == v % 2) == (sign == "negative")
 
-    def step_is_vertical(r: int) -> bool:
-        # direction of step r on the upper-left path
-        if sign == "negative":
-            return r % 2 == v % 2
-        return r % 2 != v % 2
-
-    # walk the upper-left path; side 2 is the transpose
+    # walk the upper-left path, where step r is vertical exactly when z_r
+    # is a source; side 2 is the transpose
     pos1 = {0: (0, 0)}
     for r in range(1, v + 1):
         i, j = pos1[r - 1]
-        if step_is_vertical(r):
+        if is_source(r):
             pos1[r] = (i, j + lengths[r])
         else:
             pos1[r] = (i - lengths[r], j)
@@ -220,18 +222,19 @@ def build_staircase(
         index[label] = len(gens)
         gens.append(Generator(label, m, i, j))
 
-    m0 = 0 if is_source(0) else -1
-    add("%s0" % prefix, m0, 0, 0)
+    nk = staircase_n_of_k(step_lengths)
+    top = 2 * nk if sign == "negative" else 1 - 2 * nk
+    add("%s0" % prefix, top if is_source(0) else top - 1, 0, 0)
     for r in range(1, v + 1):
-        m = 0 if is_source(r) else -1
+        m = top if is_source(r) else top - 1
         i, j = pos1[r]
         add("%s%d_1" % (prefix, r), m, i, j)
         add("%s%d_2" % (prefix, r), m, j, i)
 
-    diff: dict[tuple[int, int], tuple[int, int]] = {}
+    diff: SparseMap = {}
 
     def arrow(src, tgt):
-        diff[(index[tgt], index[src])] = up.lmono(0)
+        diff[(index[tgt], index[src])] = 0
 
     for r in range(0, v + 1):
         if not is_source(r):
@@ -251,7 +254,6 @@ def build_staircase(
     problems = validate(c)
     if problems:
         raise ValueError("staircase invalid: %s" % problems)
-    shift_maslov(c, -b0_tower_grading(c))
     return c
 
 
@@ -260,21 +262,6 @@ def staircase_n_of_k(step_lengths: tuple[int, ...]) -> int:
     with these steps (equals the alternating sum of the Alexander jumps)."""
     v = len(step_lengths)
     return sum(l for r, l in enumerate(reversed(step_lengths), start=1) if r % 2 == v % 2)
-
-
-def shift_maslov(c: FilteredComplex, shift: int) -> None:
-    for k, g in enumerate(c.gens):
-        c.gens[k] = Generator(g.label, g.maslov + shift, g.i, g.j)
-
-
-def b0_tower_grading(c: FilteredComplex) -> int:
-    """Grading of the free-summand generator of H(B0-)."""
-    from .homology import homology_over_U
-
-    h = homology_over_U(subquotient(c, "B0minus"))
-    if len(h.free) != 1:
-        raise ValueError("B0- homology free rank is %d, not 1" % len(h.free))
-    return h.free[0][0]
 
 
 def build_box(
@@ -294,12 +281,7 @@ def build_box(
         Generator("c" + suffix, ma - 1, i + 1, j),
         Generator("ue" + suffix, ma - 2, i, j),
     ]
-    diff = {
-        (1, 0): up.lmono(0),
-        (2, 0): up.lmono(0),
-        (3, 1): up.lmono(0),
-        (3, 2): up.lmono(0),
-    }
+    diff = {(1, 0): 0, (2, 0): 0, (3, 1): 0, (3, 2): 0}
     return FilteredComplex(gens, diff)
 
 
@@ -324,7 +306,7 @@ def dualize(c: FilteredComplex) -> FilteredComplex:
     if problems:
         raise ValueError("cannot dualize invalid complex: %s" % problems)
     gens = [Generator(g.label, -g.maslov, -g.i, -g.j) for g in c.gens]
-    diff = {(s, t): coeff for (t, s), coeff in c.diff.items()}
+    diff = {(s, t): a for (t, s), a in c.diff.items()}
     return FilteredComplex(gens, diff)
 
 
@@ -334,8 +316,8 @@ def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
     offset = 0
     for c in cs:
         gens.extend(c.gens)
-        for (t, s), coeff in c.diff.items():
-            diff[(t + offset, s + offset)] = coeff
+        for (t, s), a in c.diff.items():
+            diff[(t + offset, s + offset)] = a
         offset += len(c.gens)
     out = FilteredComplex(gens, diff)
     if len({g.label for g in gens}) != len(gens):
@@ -371,26 +353,21 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
         slot[k] = len(basis)
         basis.append((k, k0))
 
-    diff: dict[tuple[int, int], int] = {}
-    for (t, s), coeff in c.diff.items():
+    diff: SparseMap = {}
+    for (t, s), a in c.diff.items():
         if s not in slot or t not in slot:
             continue
-        k0s = basis[slot[s]][1]
-        k0t = basis[slot[t]][1]
-        for a in up.lterms(coeff):
-            e = k0s + a - k0t
-            if region in ("A0minus", "B0minus"):
-                if e < 0:
-                    raise ValueError(
-                        "negative U-power in %s differential: %s -> %s"
-                        % (region, c.gens[s].label, c.gens[t].label)
-                    )
-            elif e != 0:
-                # target leaves the i = 0 slice: quotiented away
-                continue
-            key = (slot[t], slot[s])
-            diff[key] = diff.get(key, 0) ^ up.mono(e)
-    diff = {k: p for k, p in diff.items() if p}
+        e = basis[slot[s]][1] + a - basis[slot[t]][1]
+        if region in ("A0minus", "B0minus"):
+            if e < 0:
+                raise ValueError(
+                    "negative U-power in %s differential: %s -> %s"
+                    % (region, c.gens[s].label, c.gens[t].label)
+                )
+        elif e != 0:
+            # target leaves the i = 0 slice: quotiented away
+            continue
+        diff[(slot[t], slot[s])] = e
     maslov = [c.gens[k].maslov - 2 * k0 for k, k0 in basis]
     return SubquotientComplex(c, region, basis, maslov, diff)
 
@@ -399,19 +376,13 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
 # Directional components, Phi/Psi and the Sarkar map
 
 
-def _components(c: FilteredComplex, keep) -> dict[tuple[int, int], tuple[int, int]]:
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for (t, s), coeff in c.diff.items():
-        gs, gt = c.gens[s], c.gens[t]
-        kept = up.lzero()
-        for a in up.lterms(coeff):
-            idrop = gs.i - (gt.i - a)
-            jdrop = gs.j - (gt.j - a)
-            if keep(idrop, jdrop):
-                kept = up.ladd(kept, up.lmono(a))
-        if kept[1]:
-            out[(t, s)] = kept
-    return out
+def _components(c: FilteredComplex, keep) -> SparseMap:
+    """The arrows whose (i, j) drops satisfy keep."""
+    return {
+        (t, s): a
+        for (t, s), a in c.diff.items()
+        if keep(c.gens[s].i - c.gens[t].i + a, c.gens[s].j - c.gens[t].j + a)
+    }
 
 
 def phi_psi(c: FilteredComplex) -> tuple[ChainMap, ChainMap]:
@@ -426,11 +397,9 @@ def phi_psi(c: FilteredComplex) -> tuple[ChainMap, ChainMap]:
 def sarkar(c: FilteredComplex) -> ChainMap:
     """The map Id + U^-1 Phi Psi; a filtered chain map of shift 0."""
     phi, psi = phi_psi(c)
-    composite = _compose(phi.matrix, psi.matrix)
-    matrix = {(k, k): up.lmono(0) for k in range(len(c.gens))}
-    for key, coeff in composite.items():
-        matrix[key] = up.ladd(matrix.get(key, up.lzero()), up.lshift(coeff, -1))
-    matrix = {k: v for k, v in matrix.items() if v[1]}
+    matrix = {(k, k): 0 for k in range(len(c.gens))}
+    for key, a in _compose(phi.matrix, psi.matrix).items():
+        add_term(matrix, key, a - 1)
     return ChainMap(c, c, matrix, "filtered", maslov_shift=0)
 
 

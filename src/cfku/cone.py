@@ -32,19 +32,16 @@ def restrict_to_a0(iota: Involution, a0: SubquotientComplex) -> list[list[int]]:
     n = len(a0.basis)
     slot = {g: k for k, (g, _k0) in enumerate(a0.basis)}
     out = up.mat_zero(n, n)
-    for (t, s), coeff in iota.map.matrix.items():
+    for (t, s), a in iota.map.matrix.items():
         if s not in slot or t not in slot:
             raise ValueError("involution leaves the A0- basis")
-        k0s = a0.basis[slot[s]][1]
-        k0t = a0.basis[slot[t]][1]
-        for a in up.lterms(coeff):
-            e = k0s + a - k0t
-            if e < 0:
-                raise ValueError(
-                    "iota does not restrict to A0-: U^%d from %s to %s"
-                    % (e, iota.map.source.gens[s].label, iota.map.source.gens[t].label)
-                )
-            out[slot[t]][slot[s]] ^= up.mono(e)
+        e = a0.basis[slot[s]][1] + a - a0.basis[slot[t]][1]
+        if e < 0:
+            raise ValueError(
+                "iota does not restrict to A0-: U^%d from %s to %s"
+                % (e, iota.map.source.gens[s].label, iota.map.source.gens[t].label)
+            )
+        out[slot[t]][slot[s]] = up.mono(e)
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from . import upoly as up
 from .complexes import FilteredComplex, Generator, SubquotientComplex, validate
 
 
@@ -24,36 +23,56 @@ def complex_to_json(c: FilteredComplex) -> dict:
             {
                 "source": c.gens[s].label,
                 "target": c.gens[t].label,
-                "upowers": up.lterms(coeff),
+                "upowers": [a],
             }
-            for (t, s), coeff in sorted(c.diff.items())
-            if coeff[1]
+            for (t, s), a in sorted(c.diff.items())
         ],
     }
 
 
+def _typed(x, kind: type, what: str):
+    """x, which must be exactly of type kind (so a bool is no int)."""
+    if type(x) is not kind:
+        raise ValueError(
+            "invalid complex document: %s %r is not of type %s" % (what, x, kind.__name__)
+        )
+    return x
+
+
+_GENERATOR_FIELDS = (("label", str), ("maslov", int), ("i", int), ("j", int))
+
+
 def complex_from_json(d: dict) -> FilteredComplex:
-    """Read and validate a complex document; any fault raises ValueError."""
+    """Read and validate a complex document; any fault raises ValueError.
+
+    Every arrow carries exactly one U-power, as in any graded complex.
+    """
     try:
         gens = [
-            Generator(g["label"], g["maslov"], g["i"], g["j"]) for g in d["generators"]
+            Generator(*[_typed(g[key], kind, key) for key, kind in _GENERATOR_FIELDS])
+            for g in _typed(d["generators"], list, "generators")
         ]
         c = FilteredComplex(gens)
-        for e in d["differential"]:
+        for e in _typed(d["differential"], list, "differential"):
             key = (c.index(e["target"]), c.index(e["source"]))
             if key in c.diff:
                 raise ValueError(
                     "invalid complex document: repeated arrow %s -> %s"
                     % (e["source"], e["target"])
                 )
-            coeff = up.lzero()
-            for a in e["upowers"]:
-                coeff = up.ladd(coeff, up.lmono(a))
-            c.diff[key] = coeff
+            powers = _typed(e["upowers"], list, "upowers")
+            if len(powers) != 1:
+                raise ValueError(
+                    "invalid complex document: arrow %s -> %s needs one U-power, not %r"
+                    % (e["source"], e["target"], powers)
+                )
+            c.diff[key] = _typed(powers[0], int, "U-power")
     except KeyError as exc:
         raise ValueError(
             "invalid complex document: missing field or unknown generator %s" % exc
         ) from None
+    except TypeError as exc:  # a document, generator or arrow that is no object
+        raise ValueError("invalid complex document: %s" % exc) from None
     problems = validate(c)
     if problems:
         raise ValueError("invalid complex document: %s" % problems)
@@ -68,15 +87,14 @@ def subquotient_to_json(sq: SubquotientComplex) -> dict:
             {"label": lab, "maslov": m} for lab, m in zip(labels, sq.maslov)
         ],
         "differential": [
-            {"source": labels[s], "target": labels[t], "upowers": up.lterms(up.lfrompoly(p))}
-            for (t, s), p in sorted(sq.diff.items())
-            if p
+            {"source": labels[s], "target": labels[t], "upowers": [e]}
+            for (t, s), e in sorted(sq.diff.items())
         ],
     }
 
 
-def _edge_label(exponents: list[int]) -> str:
-    return " + ".join("U^%d" % a if a != 1 else "U" for a in exponents if a) or ""
+def _edge_label(a: int) -> str:
+    return "" if a == 0 else "U" if a == 1 else "U^%d" % a
 
 
 def render_dot(c: FilteredComplex, name: str = "complex") -> str:
@@ -85,10 +103,8 @@ def render_dot(c: FilteredComplex, name: str = "complex") -> str:
         lines.append(
             '  "%s" [label="%s\\n(%d,%d) M=%d"];' % (g.label, g.label, g.i, g.j, g.maslov)
         )
-    for (t, s), coeff in sorted(c.diff.items()):
-        if not coeff[1]:
-            continue
-        label = _edge_label(up.lterms(coeff))
+    for (t, s), a in sorted(c.diff.items()):
+        label = _edge_label(a)
         attr = ' [label="%s"]' % label if label else ""
         lines.append('  "%s" -> "%s"%s;' % (c.gens[s].label, c.gens[t].label, attr))
     lines.append("}")

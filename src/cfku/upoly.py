@@ -5,10 +5,6 @@ coefficient of U^k.  Addition is xor, multiplication is carry-less, and
 the zero polynomial is the int 0.  This keeps hot loops allocation-free
 and makes equality checks trivial.
 
-Laurent elements (finite sums of U^k with k possibly negative) are
-(shift, mask) pairs meaning U^shift * mask, normalized so that either
-mask == 0 and shift == 0, or bit 0 of mask is set.
-
 Matrices are dense lists of rows of ints.  smith_normal_form takes only
 graded matrices, whose nonzero entries are single monomials U^a with a
 fixed by a row and a column grading, as every differential and map of a
@@ -21,10 +17,6 @@ bases in both directions without re-solving anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-ZERO = 0
-ONE = 1
-U = 2
 
 
 def mono(k: int) -> int:
@@ -52,64 +44,6 @@ def mul(a: int, b: int) -> int:
         out ^= b << (low.bit_length() - 1)
         a ^= low
     return out
-
-
-# ---------------------------------------------------------------------------
-# Laurent pairs
-
-
-def lzero() -> tuple[int, int]:
-    return (0, 0)
-
-
-def lmono(k: int) -> tuple[int, int]:
-    """U^k for any integer k."""
-    return (k, 1)
-
-
-def lnormal(shift: int, mask: int) -> tuple[int, int]:
-    if mask == 0:
-        return (0, 0)
-    low = (mask & -mask).bit_length() - 1
-    return (shift + low, mask >> low)
-
-
-def ladd(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    sx, mx = x
-    sy, my = y
-    if mx == 0:
-        return y
-    if my == 0:
-        return x
-    s = min(sx, sy)
-    return lnormal(s, (mx << (sx - s)) ^ (my << (sy - s)))
-
-
-def lmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return lnormal(x[0] + y[0], mul(x[1], y[1]))
-
-
-def lshift(x: tuple[int, int], k: int) -> tuple[int, int]:
-    """Multiply by U^k."""
-    if x[1] == 0:
-        return x
-    return (x[0] + k, x[1])
-
-
-def lterms(x: tuple[int, int]) -> list[int]:
-    """Exponents appearing in x, ascending."""
-    shift, mask = x
-    out = []
-    k = 0
-    while mask >> k:
-        if (mask >> k) & 1:
-            out.append(shift + k)
-        k += 1
-    return out
-
-
-def lfrompoly(p: int) -> tuple[int, int]:
-    return lnormal(0, p)
 
 
 # ---------------------------------------------------------------------------

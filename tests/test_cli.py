@@ -45,6 +45,7 @@ def test_usage_errors_exit_two(capsys):
         ["show", "-m", "5", "-n", "5", "--which", "A0", "--format", "ascii"],
         ["show", "-m", "5", "-n", "5", "--which", "cone", "--format", "dot"],
         ["show", "-m", "5", "-n", "5", "--which", "cone", "--format", "ascii"],
+        ["examples", "trefoil", "1", "2", "3"],
     ]
     for argv in [
         ["invariants", "-m", "4", "-n", "3"],
@@ -189,12 +190,35 @@ def test_complex_json_round_trip():
     ])
     with pytest.raises(ValueError, match="grading law"):
         render.complex_from_json(bad)
-    # an unlisted generator, a missing field and a repeated arrow
-    arrows = d["differential"]
+    # an unlisted generator, a missing field, a repeated arrow, a field of
+    # the wrong type (a bool is no position), and an arrow without exactly
+    # one integer U-power
+    gens, arrows = d["generators"], d["differential"]
+
+    def first_gen(**kw):
+        return dict(d, generators=[dict(gens[0], **kw)] + gens[1:])
+
+    def first_arrow(upowers):
+        return dict(d, differential=[dict(arrows[0], upowers=upowers)] + arrows[1:])
+
     for bad in (
         dict(d, differential=arrows + [{"source": "x", "target": "nosuch", "upowers": [0]}]),
         dict(d, differential=arrows + [{"source": "x", "target": "a"}]),
         dict(d, differential=arrows + [dict(arrows[0])]),
+        first_gen(maslov="0"),
+        first_gen(i=True),
+        first_gen(j=1.0),
+        first_gen(label=["a"]),
+        dict(d, generators={g["label"]: g for g in gens}),
+        dict(d, generators=["a"] + gens[1:]),
+        dict(d, differential=None),
+        first_arrow(0.0),
+        first_arrow("0"),
+        first_arrow([]),
+        first_arrow([0, 0]),
+        first_arrow([0.0]),
+        first_arrow([True]),
+        [],
     ):
         with pytest.raises(ValueError, match="invalid complex document"):
             render.complex_from_json(bad)

@@ -5,6 +5,11 @@ random staircases serve as property fodder for the validator, the dual,
 and the B0- normalization.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,12 +38,12 @@ signs = st.sampled_from(["positive", "negative"])
 
 
 def _arrows(c):
-    return {(c.gens[s].label, c.gens[t].label): coeff for (t, s), coeff in c.diff.items()}
+    return {(c.gens[s].label, c.gens[t].label): a for (t, s), a in c.diff.items()}
 
 
 def test_right_trefoil_shape():
     c = right_trefoil_complex()
-    assert _arrows(c) == {("a", "b"): up.lmono(0), ("a", "c"): up.lmono(0)}
+    assert _arrows(c) == {("a", "b"): 0, ("a", "c"): 0}
     a, b, cc = (c.gens[c.index(l)] for l in "abc")
     assert (b.i, b.j) == (a.i - 1, a.j) and (cc.i, cc.j) == (a.i, a.j - 1)
     assert validate(c) == []
@@ -46,7 +51,7 @@ def test_right_trefoil_shape():
 
 def test_left_trefoil_shape():
     c = left_trefoil_complex()
-    assert _arrows(c) == {("b", "a"): up.lmono(0), ("c", "a"): up.lmono(0)}
+    assert _arrows(c) == {("b", "a"): 0, ("c", "a"): 0}
 
 
 def test_staircase_bad_input():
@@ -80,7 +85,7 @@ def test_box_shape():
     assert (ue.i, ue.j) == (2, 5)
     from_ab = {k: e for k, e in _arrows(box).items() if k[0] in ("a!", "b!")}
     assert from_ab == {
-        ("a!", "b!"): up.lmono(0), ("a!", "c!"): up.lmono(0), ("b!", "ue!"): up.lmono(0)
+        ("a!", "b!"): 0, ("a!", "c!"): 0, ("b!", "ue!"): 0
     }
 
 
@@ -114,7 +119,7 @@ def test_dual_negates():
 def test_validate_catches_grading_fault():
     c = FilteredComplex(
         [Generator("x", 0, 0, 0), Generator("y", 0, 0, 0)],
-        {(1, 0): up.lmono(0)},
+        {(1, 0): 0},
     )
     assert any("grading law" in p for p in validate(c))
 
@@ -122,7 +127,7 @@ def test_validate_catches_grading_fault():
 def test_validate_catches_filtration_fault():
     c = FilteredComplex(
         [Generator("x", 0, 0, 0), Generator("y", -1, 1, 0)],
-        {(1, 0): up.lmono(0)},
+        {(1, 0): 0},
     )
     assert any("filtration law" in p for p in validate(c))
 
@@ -134,7 +139,7 @@ def test_validate_catches_d_squared():
             Generator("y", -1, -1, 0),
             Generator("z", -2, -2, 0),
         ],
-        {(1, 0): up.lmono(0), (2, 1): up.lmono(0)},
+        {(1, 0): 0, (2, 1): 0},
     )
     assert any("d^2" in p for p in validate(c))
 
@@ -163,19 +168,35 @@ def test_sarkar_on_box():
     comp = sarkar(box).matrix
     a = box.index("a")
     ue = box.index("ue")
-    assert comp[(ue, a)] == up.lmono(-1)
-    assert comp[(a, a)] == up.lmono(0)
+    assert comp[(ue, a)] == -1
+    assert comp[(a, a)] == 0
 
 
 def test_sarkar_identity_on_staircase():
     c = build_staircase("negative", (1, 2, 1, 1))
     m = sarkar(c).matrix
-    assert m == {(k, k): up.lmono(0) for k in range(len(c.gens))}
+    assert m == {(k, k): 0 for k in range(len(c.gens))}
 
 
 def test_unknot():
     c = unknot_complex()
     assert len(c.gens) == 1 and c.diff == {}
+
+
+def test_complexes_does_not_load_homology():
+    # staircase gradings are closed-form, so complexes sits below homology
+    src = str(Path(up.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from cfku.complexes import build_staircase\n"
+        "build_staircase('negative', (1, 2))\n"
+        "assert 'cfku.homology' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(signs, steps_strategy)

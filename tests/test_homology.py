@@ -127,7 +127,7 @@ def _hfk_hat_per_diagonal(c):
             for s in sources:
                 row = 0
                 for (t, ss), p in sq.diff.items():
-                    if ss == s and p:
+                    if ss == s:
                         row |= 1 << tpos[t]
                 rows.append(row)
             ranks[k] = _f2_rank(rows)

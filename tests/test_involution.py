@@ -13,6 +13,7 @@ from cfku import upoly as up
 from cfku.complexes import (
     ChainMap,
     _compose,
+    add_term,
     build_box,
     build_staircase,
     direct_sum,
@@ -60,8 +61,8 @@ def test_trefoil_involutions():
         c = trefoil_staircase(left)
         iota = standard_staircase_involution(c)
         assert validate_involution(iota) == []
-        assert iota.map.matrix[(c.index("z1_2"), c.index("z1_1"))] == up.lmono(0)
-        assert iota.map.matrix[(c.index("z0"), c.index("z0"))] == up.lmono(0)
+        assert iota.map.matrix[(c.index("z1_2"), c.index("z1_1"))] == 0
+        assert iota.map.matrix[(c.index("z0"), c.index("z0"))] == 0
 
 
 def test_staircase_involution_rejects_non_staircase():
@@ -93,6 +94,11 @@ def test_square_pair_fault_injection():
     rules["b1"] = [("b2", 0)]  # should be c2
     with pytest.raises(ValueError, match="commute|iota"):
         involution_from_rules(pair, rules)
+    # a2 + U a2 is no single power: the sum itself is rejected
+    rules = square_pair_rules(pair, "1", "2")
+    rules["a1"] = [("a2", 0), ("a2", 1)]
+    with pytest.raises(ValueError, match="not graded"):
+        involution_from_rules(pair, rules)
 
 
 def test_c1_squares_to_sarkar():
@@ -103,7 +109,7 @@ def test_c1_squares_to_sarkar():
     ue = c.index("ue")
     # sigma(a) = a + U^-1 ue, reproduced by composing iota with itself
     sq = _compose(iota.map.matrix, iota.map.matrix)
-    assert sq[(ue, a)] == up.lmono(-1)
+    assert sq[(ue, a)] == -1
     assert sq == sigma.matrix
 
 
@@ -124,7 +130,7 @@ def test_c1_identity_on_box_fails_skew():
     bad = Involution(
         ChainMap(
             c, c,
-            {(c.index(t), c.index(s)): up.lmono(e) for s, tgts in rules.items() for t, e in tgts},
+            {(c.index(t), c.index(s)): e for s, tgts in rules.items() for t, e in tgts},
             "skew-filtered", 0,
         ),
         sarkar(c),
@@ -156,8 +162,8 @@ def test_dual_c1_formulas():
     assert validate_involution(di) == []
     # the dual of iota(c) = b + z1_1 sends z1_1 to z1_2 plus a c term
     img = {
-        d.gens[t].label: coeff
-        for (t, s), coeff in di.map.matrix.items()
+        d.gens[t].label: a
+        for (t, s), a in di.map.matrix.items()
         if s == d.index("z1_1")
     }
     assert set(img) == {"z1_2", "c"}
@@ -168,7 +174,7 @@ def test_figure_eight_involution():
     iota = figure_eight_involution(c)
     assert validate_involution(iota) == []
     sq = _compose(iota.map.matrix, iota.map.matrix)
-    assert sq[(c.index("ue"), c.index("a"))] == up.lmono(-1)
+    assert sq[(c.index("ue"), c.index("a"))] == -1
 
 
 def test_identity_involution_unknot():
@@ -213,16 +219,14 @@ def _chain_map_space(c, kind):
     eqs: dict[tuple[int, int, int], int] = {}
     for (t, s, a) in variables:
         bit = 1 << vidx[(t, s, a)]
-        for (t2, tt), coeff in c.diff.items():
+        for (t2, tt), e in c.diff.items():
             if tt == t:  # d after f
-                for e in up.lterms(coeff):
-                    key = (t2, s, a + e)
-                    eqs[key] = eqs.get(key, 0) ^ bit
-        for (mid, s2), coeff in c.diff.items():
+                key = (t2, s, a + e)
+                eqs[key] = eqs.get(key, 0) ^ bit
+        for (mid, s2), e in c.diff.items():
             if mid == s:  # f after d
-                for e in up.lterms(coeff):
-                    key = (t, s2, a + e)
-                    eqs[key] = eqs.get(key, 0) ^ bit
+                key = (t, s2, a + e)
+                eqs[key] = eqs.get(key, 0) ^ bit
     pivots: dict[int, int] = {}
     for row in eqs.values():
         while row:
@@ -253,20 +257,20 @@ def _chain_map_space(c, kind):
 
 
 def _mask_to_matrix(variables, mask):
-    out: dict[tuple[int, int], tuple[int, int]] = {}
+    out: dict[tuple[int, int], int] = {}
     for k, (t, s, a) in enumerate(variables):
         if (mask >> k) & 1:
-            out[(t, s)] = up.ladd(out.get((t, s), up.lzero()), up.lmono(a))
-    return {k: v for k, v in out.items() if v[1]}
+            add_term(out, (t, s), a)
+    return out
 
 
 def _is_laurent_unimodular(matrix, n):
     # U^shift * matrix has entries in F2[U]; its SNF diagonal is monomial,
     # hence a unit over F2[U, U^-1] wherever it is nonzero
-    shift = max((-min(up.lterms(v)) for v in matrix.values() if v[1]), default=0)
+    shift = max((-a for a in matrix.values()), default=0)
     m = up.mat_zero(n, n)
-    for (t, s), (k, mask) in matrix.items():
-        m[t][s] = mask << (k + shift)
+    for (t, s), a in matrix.items():
+        m[t][s] = up.mono(a + shift)
     return up.smith_normal_form(m).rank == n
 
 

@@ -44,14 +44,6 @@ def test_mul_matches_schoolbook(a, b):
     assert up.mul(a, b) == acc
 
 
-def test_laurent_normal_forms():
-    assert up.ladd(up.lmono(-1), up.lmono(-1)) == up.lzero()
-    x = up.ladd(up.lmono(2), up.lmono(-1))
-    assert up.lterms(x) == [-1, 2]
-    assert up.lmul(x, up.lmono(1)) == up.ladd(up.lmono(3), up.lmono(0))
-    assert up.lfrompoly(P(3, 1)) == (1, P(2, 0))
-
-
 def _check_snf(m):
     res = up.smith_normal_form(m)
     rows, cols = len(m), len(m[0]) if m else 0
