@@ -34,11 +34,13 @@ matrices it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from . import upoly as up
 
 # (target index, source index) -> a, for the entry U^a
 SparseMap = dict[tuple[int, int], int]
+Key = TypeVar("Key")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,11 @@ class FilteredComplex:
                 return k
         raise KeyError(label)
 
+    def indices(self) -> dict[str, int]:
+        """label -> index, for many lookups.  Built on each call, since
+        relabel changes gens in place."""
+        return {g.label: k for k, g in enumerate(self.gens)}
+
 
 @dataclass
 class ChainMap:
@@ -81,6 +88,8 @@ class SubquotientComplex:
 
     basis[k] = (generator index in parent, U-power k0 of the translate);
     maslov[k] is the grading of U^k0 x; diff[(t, s)] = e means U^e, e >= 0.
+    cone.cancel_units returns one whose basis is what survives of an A0-
+    basis and whose diff is the differential left after cancellation.
     """
 
     parent: FilteredComplex
@@ -112,8 +121,10 @@ class SubquotientComplex:
 # Validation
 
 
-def add_term(m: SparseMap, key: tuple[int, int], a: int) -> None:
-    """Add U^a to entry key over F2; a second, different power is an error."""
+def add_term(m: dict[Key, int], key: Key, a: int) -> None:
+    """Add U^a to entry key over F2; a second, different power is an error.
+
+    m is a SparseMap, or one column {target: a} of one."""
     b = m.pop(key, None)
     if b is None:
         m[key] = a

@@ -130,9 +130,9 @@ def homology_over_U(sq: SubquotientComplex) -> GradedModule:
     return graded_homology(sq.matrix(), sq.maslov)
 
 
-def v0(c: FilteredComplex) -> int:
-    """-1/2 times the grading of the tower generator of H(A0-)."""
-    h = homology_over_U(subquotient(c, "A0minus"))
+def v0_from_homology(h: GradedModule) -> int:
+    """-1/2 times the grading of the one tower of h, which is H(A0-) or
+    the homology of a complex homotopy equivalent to A0-."""
     if len(h.free) != 1:
         raise ValueError(
             "H(A0-) free rank is %d, not 1: not a knot-like complex" % len(h.free)
@@ -141,6 +141,13 @@ def v0(c: FilteredComplex) -> int:
     if grading % 2:
         raise ValueError("tower grading is odd")
     return -grading // 2
+
+
+def v0(c: FilteredComplex) -> int:
+    """V0 from the homology of the whole, uncancelled A0-: the dense
+    oracle for the V0 that cone.involutive_invariants reads after
+    cancellation."""
+    return v0_from_homology(homology_over_U(subquotient(c, "A0minus")))
 
 
 # ---------------------------------------------------------------------------

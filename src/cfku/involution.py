@@ -39,11 +39,12 @@ def involution_from_rules(c: FilteredComplex, rules: Rules) -> Involution:
     """
     matrix: SparseMap = {}
     seen = set()
+    slot = c.indices()
     for src, targets in rules.items():
-        s = c.index(src)
+        s = slot[src]
         seen.add(src)
         for tgt, e in targets:
-            add_term(matrix, (c.index(tgt), s), e)
+            add_term(matrix, (slot[tgt], s), e)
     missing = {g.label for g in c.gens} - seen
     if missing:
         raise ValueError("no involution rule for %s" % sorted(missing))
@@ -184,10 +185,11 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     the matrix just swaps (target, source) with unchanged U-powers.
     """
     primal = iota.map.source
+    slot = dual_c.indices()
     matrix = {}
     for (t, s), a in iota.map.matrix.items():
-        ds = dual_c.index(primal.gens[t].label)
-        dt = dual_c.index(primal.gens[s].label)
+        ds = slot[primal.gens[t].label]
+        dt = slot[primal.gens[s].label]
         matrix[(dt, ds)] = a
     out = Involution(
         ChainMap(dual_c, dual_c, matrix, "skew-filtered", 0), sarkar(dual_c)

@@ -53,8 +53,9 @@ def complex_from_json(d: dict) -> FilteredComplex:
             for g in _typed(d["generators"], list, "generators")
         ]
         c = FilteredComplex(gens)
+        slot = c.indices()
         for e in _typed(d["differential"], list, "differential"):
-            key = (c.index(e["target"]), c.index(e["source"]))
+            key = (slot[e["target"]], slot[e["source"]])
             if key in c.diff:
                 raise ValueError(
                     "invalid complex document: repeated arrow %s -> %s"

@@ -74,19 +74,21 @@ def c1_pair(nk):
     return c, model_involution("C1", c)
 
 
-# 1. closed-form reproduction over the whole sweep, both chiralities
+# 1. closed-form reproduction up to m = 41, both chiralities, on the model
+# and the full complex
 
 
 def test_criterion_1_theorem_sweep():
     start = time.monotonic()
     failures = []
-    for m, n in odd_pairs(21):
+    for m, n in odd_pairs(41):
         params = PretzelParams(m, n)
         for mirrored in (False, True):
-            got = compute_invariants(params, mirrored).triple
             want = theorem_values(params, mirrored).triple
-            if got != want:
-                failures.append((m, n, mirrored, got, want))
+            model = compute_invariants(params, mirrored).triple
+            full = compute_invariants(params, mirrored, use_full=True).triple
+            if model != want or full != want:
+                failures.append((m, n, mirrored, model, full, want))
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0, "sweep took %.1f s" % elapsed

@@ -6,11 +6,14 @@ checked against the brute-force definition-chasing search everywhere it
 is feasible.
 """
 
+import logging
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
+    ChainMap,
     build_box,
     build_staircase,
     direct_sum,
@@ -19,19 +22,23 @@ from cfku.complexes import (
     relabel,
     left_trefoil_complex,
     right_trefoil_complex,
+    sarkar,
     subquotient,
     unknot_complex,
 )
 from cfku.cone import (
+    _assemble_cone,
     brute_force_vs,
     build_cone,
+    cancel_units,
     cone_homology,
     involutive_invariants,
     involutive_vs,
     restrict_to_a0,
 )
-from cfku.homology import vector_grading
+from cfku.homology import v0, vector_grading
 from cfku.involution import (
+    Involution,
     dual_involution,
     figure_eight_involution,
     identity_involution,
@@ -39,6 +46,13 @@ from cfku.involution import (
     standard_staircase_involution,
     square_pair_rules,
     involution_from_rules,
+)
+from cfku.pretzel import (
+    PretzelParams,
+    full_complex,
+    full_involution,
+    model_complex,
+    model_involution_for,
 )
 
 
@@ -251,8 +265,8 @@ def test_restriction_rejects_region_leak():
     c, iota = trefoil()
     a0 = subquotient(c, "A0minus")
     m = restrict_to_a0(iota, a0)
-    assert m[a0.labels().index("z1_2")][a0.labels().index("z1_1")] == 1
-    assert m[0][0] == 1
+    assert m[(a0.labels().index("z1_2"), a0.labels().index("z1_1"))] == 0
+    assert m[(0, 0)] == 0
 
 
 def test_involutive_vs_precondition():
@@ -263,3 +277,78 @@ def test_involutive_vs_precondition():
     one_tower = graded_homology([[0]], [0])
     with pytest.raises(ValueError, match="towers"):
         involutive_vs(cone, one_tower)
+
+
+# ---------------------------------------------------------------------------
+# Cancellation of the unit arrows of A0-
+
+
+def _pretzel_inputs(m_max):
+    """Model and full complexes of every odd pair up to m_max, with duals."""
+    for m in range(3, m_max + 1, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            mc = model_complex(params)
+            fc = full_complex(params)
+            for c, iota in (
+                (mc, model_involution_for(params, mc)),
+                (fc, full_involution(params, fc)),
+            ):
+                yield c, iota
+                d = dualize(c)
+                yield d, dual_involution(iota, d)
+
+
+def test_reduced_invariants_match_dense_cone():
+    cases = _examples_for_oracle() + list(_pretzel_inputs(13))
+    for c, iota in cases:
+        dense = (v0(c), *involutive_vs(build_cone(c, iota)))
+        assert involutive_invariants(c, iota) == dense
+
+
+def test_reduced_cones_agree_with_brute_force():
+    cases = _examples_for_oracle() + list(_pretzel_inputs(21))
+    for c, iota in cases:
+        a0, f = cancel_units(c, iota)
+        assert 0 not in a0.diff.values()  # no unit arrow survives
+        cone = _assemble_cone(a0, f)
+        assert involutive_vs(cone) == brute_force_vs(cone)
+
+
+def test_cancellation_sizes():
+    sizes = []
+    for k in (13, 17, 21):
+        params = PretzelParams(k, k)
+        c = full_complex(params)
+        d = dualize(c)
+        a0, _f = cancel_units(d, dual_involution(full_involution(params, c), d))
+        sizes.append((len(d.gens), len(a0.basis)))
+    assert sizes == [(125, 11), (229, 15), (365, 19)]
+
+
+def test_cancellation_rejects_non_chain_map():
+    # swapping U z1_1 and U z1_2 but dropping z0 does not commute with
+    # d(U z1_r) = U z0; nothing cancels, so the fault survives to A0'
+    c, _iota = trefoil(left=True)
+    swap = {(c.index("z1_2"), c.index("z1_1")): 0, (c.index("z1_1"), c.index("z1_2")): 0}
+    bad = Involution(ChainMap(c, c, swap, "skew-filtered", 0), sarkar(c))
+    with pytest.raises(ValueError, match="does not commute"):
+        cancel_units(c, bad)
+    with pytest.raises(ValueError, match="does not commute"):
+        involutive_invariants(c, bad)
+
+
+def test_invariants_log_cancellation_sizes(caplog):
+    params = PretzelParams(13, 13)
+    c = full_complex(params)
+    d = dualize(c)
+    di = dual_involution(full_involution(params, c), d)
+    with caplog.at_level(logging.DEBUG, logger="cfku.cone"):
+        involutive_invariants(d, di)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        (
+            "cfku.cone",
+            "DEBUG",
+            "A0-: 125 generators, 11 after cancellation; cone: 22 generators",
+        )
+    ]
