@@ -7,13 +7,16 @@ the lower correction term reads off the tower surviving the image of the
 Q-action, the upper one the quotient tower.
 
 involutive_invariants reads every invariant from the cancelled A0-:
-cancel_units removes each unit (U^0) arrow of A0- by Gaussian
-elimination and carries iota along as p iota i, which gives a complex
-with involution that is iota-homotopy equivalent to (A0-, iota) and so
-has the same V0, lower V0 and upper V0.  build_cone is the unreduced
-cone on the whole A0- basis; it is kept as the dense oracle that the
-reduced path is tested against and is what `cfku show --which cone`
-renders.
+cancel_units removes each unit (U^0) arrow of A0- through the Gaussian
+elimination that graded_homology also runs (homology.cancel_unit_arrows)
+and carries iota along as P iota I, with I and P the inclusion and
+projection of that elimination.  This gives a complex with involution
+that is iota-homotopy equivalent to (A0-, iota) and so has the same V0,
+lower V0 and upper V0.  build_cone is the unreduced cone on the whole
+A0- basis; it is kept as the oracle that the reduced path is tested
+against and is what `cfku show --which cone` renders.  Its homology,
+like every homology, runs the Smith normal forms only on what survives
+the cancellation of its own unit arrows.
 
 Two independent extractors read the cone.  involutive_vs diagonalizes
 the induced Q-action on the free part of the homology.  brute_force_vs
@@ -23,9 +26,7 @@ definitions literally; it is the oracle the fast path is tested against.
 
 from __future__ import annotations
 
-import heapq
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from . import upoly as up
@@ -34,11 +35,11 @@ from .complexes import (
     SparseMap,
     SubquotientComplex,
     _compose,
-    add_term,
     subquotient,
 )
 from .homology import (
     GradedModule,
+    cancel_unit_arrows,
     graded_homology,
     homology_over_U,
     v0_from_homology,
@@ -71,95 +72,21 @@ def restrict_to_a0(iota: Involution, a0: SubquotientComplex) -> SparseMap:
     return out
 
 
-class _IndexedMap:
-    """A sparse graded map stored by column and by row, for elimination.
-
-    cols[s] = {t: a} and rows[t] = {s: a} hold the same entries U^a;
-    they change only through add, which sums over F2 with add_term, and
-    drop, which deletes a row and a column.
-    """
-
-    def __init__(self, entries: SparseMap):
-        self.cols: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        self.rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        for (t, s), a in entries.items():
-            self.cols[s][t] = self.rows[t][s] = a
-
-    def get(self, t: int, s: int) -> int | None:
-        return self.cols[s].get(t) if s in self.cols else None
-
-    def add(self, t: int, s: int, a: int) -> None:
-        col = self.cols[s]
-        add_term(col, t, a)
-        if t in col:
-            self.rows[t][s] = a
-        else:
-            del self.rows[t][s]
-
-    def drop(self, k: int) -> None:
-        for t in self.cols.pop(k, {}):
-            del self.rows[t][k]
-        for s in self.rows.pop(k, {}):
-            del self.cols[s][k]
-
-    def entries(self, slot: dict[int, int]) -> SparseMap:
-        """The entries, with indices renumbered through slot."""
-        return {
-            (slot[t], slot[s]): a for s, col in self.cols.items() for t, a in col.items()
-        }
-
-
 def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientComplex, SparseMap]:
     """A0- with every unit arrow cancelled, and iota carried along.
 
-    Each step takes the U^0 entry d[y, x] of lowest source x, then lowest
-    target y, and removes x and y.  With i(z) = z + d[y, z] x and
-    p(w) = w + w_y d[:, x] the homotopy equivalence, the new maps are
-
-        d'    = d + d[:, x] d[y, :]
-        iota' = p iota i = iota + iota[:, x] d[y, :] + d[:, x] iota[y, :]
-
-    with no term through iota[y, x], which is 0: iota keeps the grading
-    and the unit arrow from x to y lowers it by one.  The result keeps
-    the surviving entries of the A0- basis.  iota' squares to the Sarkar
-    map only up to homotopy, so it is not an Involution; instead
-    d'^2 = 0, iota' d' = d' iota' and the grading law of every entry are
-    checked, and any failure raises ValueError.
+    homology.cancel_unit_arrows removes the unit arrows of A0- and gives
+    the inclusion I and projection P of the homotopy equivalence; iota
+    becomes iota' = P iota I.  The result keeps the surviving entries of
+    the A0- basis.  iota' squares to the Sarkar map only up to homotopy,
+    so it is not an Involution; instead d'^2 = 0, iota' d' = d' iota' and
+    the grading law of every entry are checked, and any failure raises
+    ValueError.
     """
     a0 = subquotient(c, "A0minus")
-    d = _IndexedMap(a0.diff)
-    f = _IndexedMap(restrict_to_a0(iota, a0))
-    units = [(s, t) for (t, s), a in a0.diff.items() if a == 0]
-    heapq.heapify(units)
-    alive = set(range(len(a0.basis)))
-    while units:
-        x, y = heapq.heappop(units)
-        if d.get(y, x) != 0:
-            continue  # cancelled or changed since it was queued
-        dcol = [(t, a) for t, a in d.cols[x].items() if t not in (x, y)]
-        drow = [(s, b) for s, b in d.rows[y].items() if s not in (x, y)]
-        fcol = [(t, a) for t, a in f.cols[x].items() if t not in (x, y)]
-        frow = [(s, b) for s, b in f.rows[y].items() if s not in (x, y)]
-        for k in (x, y):
-            d.drop(k)
-            f.drop(k)
-            alive.discard(k)
-        for s, b in drow:
-            for t, a in dcol:
-                d.add(t, s, a + b)
-                if d.get(t, s) == 0:
-                    heapq.heappush(units, (s, t))
-            for t, a in fcol:
-                f.add(t, s, a + b)
-        for s, b in frow:
-            for t, a in dcol:
-                f.add(t, s, a + b)
-
-    keep = sorted(alive)
-    slot = {k: r for r, k in enumerate(keep)}
+    keep, diff, inc, proj = cancel_unit_arrows(a0.diff, len(a0.basis))
+    fmap = _compose(proj, _compose(restrict_to_a0(iota, a0), inc))
     maslov = [a0.maslov[k] for k in keep]
-    diff = d.entries(slot)
-    fmap = f.entries(slot)
     problems = [
         "%s entry U^%d from %d to %d breaks the grading law" % (name, a, s, t)
         for name, m, shift in (("d'", diff, -1), ("iota'", fmap, 0))
@@ -216,21 +143,17 @@ def cone_homology(cone: ConeComplex) -> GradedModule:
     return graded_homology(cone.d, cone.maslov)
 
 
-def _q_on_free(cone: ConeComplex, h: GradedModule) -> list[list[int]]:
-    """Free-part coordinates of Q applied to every homology generator.
+def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list[list[int]]]:
+    """Summand coordinates of Q applied to every homology generator.
 
-    Returns a 2 x (number of summands) matrix; torsion classes can have
-    free components after multiplying by Q, so all generators appear as
-    columns.
+    Returns (free, torsion): the free and the torsion coordinates of
+    Q rep, one column per generator, towers first.  Torsion classes can
+    have free components after multiplying by Q, so every generator
+    appears.
     """
-    cols = []
-    for _, rep in h.free:
-        fc, _tc = h.class_coords(up.mat_vec(cone.q, rep))
-        cols.append(fc)
-    for _, _k, rep in h.torsion:
-        fc, _tc = h.class_coords(up.mat_vec(cone.q, rep))
-        cols.append(fc)
-    return [[col[r] for col in cols] for r in range(len(h.free))]
+    reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
+    coords = [h.class_coords(up.mat_vec(cone.q, rep)) for rep in reps]
+    return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
 
 
 def involutive_vs(cone: ConeComplex, h: GradedModule | None = None) -> tuple[int, int]:
@@ -243,7 +166,8 @@ def involutive_vs(cone: ConeComplex, h: GradedModule | None = None) -> tuple[int
         h = cone_homology(cone)
     if len(h.free) != 2:
         raise ValueError("cone homology has %d towers, expected 2" % len(h.free))
-    qf = _q_on_free(cone, h)
+    free_cols, _torsion_cols = _q_coords(cone, h)
+    qf = [[col[r] for col in free_cols] for r in range(2)]
     s = up.smith_normal_form(qf)
     if s.rank != 1:
         raise ValueError("Q-action saturates %d towers, expected 1" % s.rank)
@@ -280,13 +204,7 @@ def brute_force_vs(cone: ConeComplex) -> tuple[int, int]:
     cap = maxtors + spread // 2 + EXTRA_DEPTH
 
     # image of Q in summand coordinates, with torsion relations adjoined
-    qcols = []
-    for _, rep in h.free:
-        fc, tc = h.class_coords(up.mat_vec(cone.q, rep))
-        qcols.append(fc + tc)
-    for _, _k, rep in h.torsion:
-        fc, tc = h.class_coords(up.mat_vec(cone.q, rep))
-        qcols.append(fc + tc)
+    qcols = [fc + tc for fc, tc in zip(*_q_coords(cone, h))]
     for j in range(nt):
         col = [0] * (nf + nt)
         col[nf + j] = up.mono(h.torsion[j][1])

@@ -1,22 +1,39 @@
 """Homology of free graded F2[U]-complexes and the classical outputs.
 
-The decomposition works in two Smith normal form passes: one on the
-differential to split off the kernel, and one on the relation matrix of
-the image inside the kernel to read off the tower and torsion summands.
-Both matrices must be graded, every nonzero entry a single monomial U^a;
-smith_normal_form raises ValueError otherwise, which the CLI reports as
-an internal error (exit 4).  Both passes track the unimodular transforms
-and their inverses, so every summand comes with an explicit cycle
-representative and any cycle can be rewritten in summand coordinates
-(needed for the image-of-Q tests in the involutive invariants).
+graded_homology first cancels every unit (U^0) arrow of the differential
+by Gaussian elimination (cancel_unit_arrows), a homotopy equivalence
+that leaves the homology unchanged, and then decomposes what survives in
+two Smith normal form passes: one on the differential to split off the
+kernel, and one on the relation matrix of the image inside the kernel to
+read off the tower and torsion summands.  Both matrices must be graded,
+every nonzero entry a single monomial U^a; a non-monomial entry raises
+ValueError, which the CLI reports as an internal error (exit 4).  Both
+passes track the unimodular transforms and their inverses, and the
+elimination keeps its inclusion and projection, so every summand comes
+with an explicit cycle representative in the original basis and any
+cycle of the original complex can be rewritten in summand coordinates
+(needed for the image-of-Q tests in the involutive invariants).  The
+cycle check of class_coords runs on the original differential, since
+the projection can send a non-cycle to a cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+import logging
+from collections import defaultdict
+from dataclasses import dataclass
 
 from . import upoly as up
-from .complexes import FilteredComplex, SubquotientComplex, subquotient
+from .complexes import (
+    FilteredComplex,
+    SparseMap,
+    SubquotientComplex,
+    add_term,
+    subquotient,
+)
+
+log = logging.getLogger(__name__)
 
 
 def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
@@ -40,6 +57,77 @@ def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
     return grading
 
 
+def cancel_unit_arrows(
+    diff: SparseMap, n: int
+) -> tuple[list[int], SparseMap, SparseMap, SparseMap]:
+    """Cancel every unit arrow of a differential by Gaussian elimination.
+
+    diff is a differential on n generators, one exponent per entry.  Each
+    step takes the U^0 entry d[y, x] of lowest source x, then lowest
+    target y, and removes x and y.  With the homotopy equivalence
+
+        i(z) = z + d[y, z] x        p(w) = w + w_y d[:, x]
+
+    the rest carries d' = d + d[:, x] d[y, :].  Returns (keep, d', I, P):
+    the surviving indices in increasing order, d' on positions in keep,
+    the composite inclusion I with entries (original, kept) and the
+    composite projection P with entries (kept, original).  Sums go
+    through add_term, so an ungraded differential raises ValueError.
+    """
+    cols: defaultdict[int, dict[int, int]] = defaultdict(dict)  # s -> {t: a}
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # t -> {s: a}
+    for (t, s), a in diff.items():
+        cols[s][t] = rows[t][s] = a
+    inc = {k: {k: 0} for k in range(n)}  # column k of I: {original: a}
+    proj = {k: {k: 0} for k in range(n)}  # row k of P: {original: a}
+    units = [(s, t) for (t, s), a in diff.items() if a == 0]
+    heapq.heapify(units)
+    while units:
+        x, y = heapq.heappop(units)
+        if x not in inc or cols[x].get(y) != 0:
+            continue  # cancelled or changed since it was queued
+        dcol = [(t, a) for t, a in cols[x].items() if t not in (x, y)]
+        drow = [(s, b) for s, b in rows[y].items() if s not in (x, y)]
+        icol, prow = inc.pop(x), proj.pop(y)
+        del inc[y], proj[x]
+        for k in (x, y):
+            for t in cols.pop(k, {}):
+                del rows[t][k]
+            for s in rows.pop(k, {}):
+                del cols[s][k]
+        for s, b in drow:
+            col = cols[s]
+            for t, a in dcol:
+                add_term(col, t, a + b)
+                if t in col:
+                    rows[t][s] = col[t]
+                    if col[t] == 0:
+                        heapq.heappush(units, (s, t))
+                else:
+                    del rows[t][s]
+            for o, e in icol.items():
+                add_term(inc[s], o, e + b)
+        for t, a in dcol:
+            for o, e in prow.items():
+                add_term(proj[t], o, e + a)
+
+    keep = sorted(inc)
+    slot = {k: r for r, k in enumerate(keep)}
+    reduced = {(slot[t], slot[s]): a for s in keep for t, a in cols[s].items()}
+    i_map = {(o, slot[k]): e for k in keep for o, e in inc[k].items()}
+    p_map = {(slot[k], o): e for k in keep for o, e in proj[k].items()}
+    return keep, reduced, i_map, p_map
+
+
+def _apply(m: SparseMap, v: list[int], size: int) -> list[int]:
+    """The sparse map m applied to the dense vector v, size entries out."""
+    out = [0] * size
+    for (t, s), e in m.items():
+        if v[s]:
+            out[t] ^= v[s] << e
+    return out
+
+
 @dataclass
 class GradedModule:
     """H = F[U]^t + sum of F[U]/U^k with graded generators.
@@ -52,12 +140,16 @@ class GradedModule:
     maslov: list[int]
     free: list[tuple[int, list[int]]]
     torsion: list[tuple[int, int, list[int]]]
-    # internals for coordinates of arbitrary cycles
-    _rho: int = 0
-    _Rinv: list[list[int]] = field(default_factory=list)
-    _Lp: list[list[int]] = field(default_factory=list)
-    _free_slots: list[int] = field(default_factory=list)
-    _torsion_slots: list[int] = field(default_factory=list)
+    # internals for coordinates of arbitrary cycles: the original
+    # differential, the projection onto the cancelled complex and the
+    # transforms of its two Smith normal forms
+    _diff: SparseMap
+    _proj: SparseMap
+    _rho: int
+    _Rinv: list[list[int]]
+    _Lp: list[list[int]]
+    _free_slots: list[int]
+    _torsion_slots: list[int]
 
     def class_coords(self, x: list[int]) -> tuple[list[int], list[int]]:
         """Coordinates of the class [x] as (free coords, torsion coords).
@@ -65,9 +157,9 @@ class GradedModule:
         Torsion coords are reduced mod the summand order.  Raises if x is
         not a cycle.
         """
-        y = up.mat_vec(self._Rinv, x)
-        if any(y[k] for k in range(self._rho)):
+        if any(_apply(self._diff, x, len(x))):
             raise ValueError("vector is not a cycle")
+        y = up.mat_vec(self._Rinv, _apply(self._proj, x, len(self._Rinv)))
         w = up.mat_vec(self._Lp, y[self._rho :])
         fc = [w[r] for r in self._free_slots]
         tc = []
@@ -78,35 +170,53 @@ class GradedModule:
 
 
 def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
-    """Homology of an F2[U]-complex given by one square matrix d, d^2=0."""
+    """Homology of an F2[U]-complex given by one square matrix d, d^2=0.
+
+    The unit arrows are cancelled first and both Smith normal forms run
+    on what survives; representatives are lifted to the basis of d.
+    """
     n = len(d)
-    if n == 0:
-        return GradedModule([], [], [])
     dd = up.mat_mul(d, d)
     if any(any(row) for row in dd):
         raise ValueError("differential does not square to zero")
-    s1 = up.smith_normal_form(d)
+    diff: SparseMap = {}
+    for t, row in enumerate(d):
+        for s, p in enumerate(row):
+            if p:
+                if p & (p - 1):
+                    raise ValueError(
+                        "entry (%d, %d) is not a monomial: differential is not graded"
+                        % (t, s)
+                    )
+                diff[(t, s)] = up.deg(p)
+    keep, reduced, inc, proj = cancel_unit_arrows(diff, n)
+    k = len(keep)
+    dk = up.mat_zero(k, k)
+    for (t, s), e in reduced.items():
+        dk[t][s] = up.mono(e)
+    s1 = up.smith_normal_form(dk)
     rho = s1.rank
-    # cycles: columns rho.. of R; a vector x is a cycle iff (Rinv x) vanishes
-    # in the first rho slots
-    kernel_cols = [[s1.R[i][k] for k in range(rho, n)] for i in range(n)]
+    # cycles of the cancelled complex: columns rho.. of R
+    kernel_cols = [[s1.R[i][j] for j in range(rho, k)] for i in range(k)]
     # image generators in kernel coordinates give the relation matrix
     ri_li = up.mat_mul(s1.Rinv, s1.Linv)
     rel = [
-        [up.mul(s1.d[k], ri_li[rho + r][k]) for k in range(rho)]
-        for r in range(n - rho)
+        [up.mul(s1.d[j], ri_li[rho + r][j]) for j in range(rho)]
+        for r in range(k - rho)
     ]
     s2 = up.smith_normal_form(rel)
     free: list[tuple[int, list[int]]] = []
     torsion: list[tuple[int, int, list[int]]] = []
     free_slots: list[int] = []
     torsion_slots: list[int] = []
-    dprime = list(s2.d) + [0] * (n - rho - len(s2.d))
-    for r in range(n - rho):
+    dprime = list(s2.d) + [0] * (k - rho - len(s2.d))
+    for r in range(k - rho):
         order_poly = dprime[r]
         if order_poly == 1:
             continue
-        rep = up.mat_vec(kernel_cols, [s2.Linv[i][r] for i in range(n - rho)])
+        rep = _apply(
+            inc, up.mat_vec(kernel_cols, [s2.Linv[i][r] for i in range(k - rho)]), n
+        )
         grading = vector_grading(rep, maslov)
         if order_poly == 0:
             free.append((grading, rep))
@@ -114,10 +224,17 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
         else:
             torsion.append((grading, up.deg(order_poly), rep))
             torsion_slots.append(r)
+    log.debug(
+        "homology: %d generators, %d after cancellation; SNF rank %d; "
+        "%d towers, %d torsion summands",
+        n, k, rho, len(free), len(torsion),
+    )
     return GradedModule(
         maslov,
         free,
         torsion,
+        _diff=diff,
+        _proj=proj,
         _rho=rho,
         _Rinv=s1.Rinv,
         _Lp=s2.L,

@@ -105,10 +105,16 @@ def standard_staircase_involution(c: FilteredComplex, prefix: str = "z") -> Invo
     return involution_from_rules(c, staircase_reflection_rules(c, prefix))
 
 
-def square_pair_rules(c: FilteredComplex, suffix1: str, suffix2: str) -> Rules:
-    """The standard square map between two boxes at mirrored corners."""
-    u1 = c.gens[c.index("ue" + suffix1)]
-    u2 = c.gens[c.index("ue" + suffix2)]
+def square_pair_rules(
+    c: FilteredComplex, suffix1: str, suffix2: str, slot: dict[str, int] | None = None
+) -> Rules:
+    """The standard square map between two boxes at mirrored corners.
+
+    slot is c.indices(); callers pairing many boxes build it once."""
+    if slot is None:
+        slot = c.indices()
+    u1 = c.gens[slot["ue" + suffix1]]
+    u2 = c.gens[slot["ue" + suffix2]]
     if (u1.i, u1.j) != (u2.j, u2.i):
         raise ValueError(
             "box corners (%d,%d) and (%d,%d) are not mirrored"

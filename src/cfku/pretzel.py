@@ -249,13 +249,16 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
         rules = staircase_reflection_rules_without_z0(c)
         rules["z0"] = [("z0", 0)]
         d_start = 1
+    slot = c.indices()
     for t in range(d_start, mults.get(0, 0) + 1, 2):
-        rules.update(square_pair_rules(c, "_d%d" % t, "_d%d" % (t + 1)))
+        rules.update(square_pair_rules(c, "_d%d" % t, "_d%d" % (t + 1), slot))
     for s, count in mults.items():
         if s <= 0:
             continue
         for t in range(1, count + 1):
-            rules.update(square_pair_rules(c, "_p%d_%d" % (s, t), "_m%d_%d" % (s, t)))
+            rules.update(
+                square_pair_rules(c, "_p%d_%d" % (s, t), "_m%d_%d" % (s, t), slot)
+            )
     return involution_from_rules(c, rules)
 
 

@@ -3,9 +3,13 @@
 Small decompositions are checked against hand values; random staircases
 exercise the representative and coordinate machinery (reps are cycles,
 coordinates of a rep form a unit vector, torsion reps die at their
-order).  The bigraded rank tables for the three small knots are the
-standard published values.
+order).  graded_homology, which cancels unit arrows before its Smith
+normal forms, is checked against the two dense passes on the whole
+matrix over the worked examples and the pretzel cones.  The bigraded
+rank tables for the three small knots are the standard published values.
 """
+
+import logging
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +20,12 @@ from cfku.complexes import (
     dualize,
     figure_eight_complex,
     left_trefoil_complex,
+    relabel,
     right_trefoil_complex,
     subquotient,
     unknot_complex,
 )
+from cfku.cone import build_cone
 from cfku.homology import (
     _f2_rank,
     alexander_poly,
@@ -30,7 +36,19 @@ from cfku.homology import (
     v0,
     vector_grading,
 )
-from cfku.pretzel import PretzelParams, full_complex, model_complex
+from cfku.involution import (
+    dual_involution,
+    figure_eight_involution,
+    identity_involution,
+    standard_staircase_involution,
+)
+from cfku.pretzel import (
+    PretzelParams,
+    full_complex,
+    full_involution,
+    model_complex,
+    model_involution_for,
+)
 
 steps_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).map(tuple)
 
@@ -50,10 +68,12 @@ def test_homology_zero_differential():
 
 
 def test_homology_single_torsion():
-    # d(x) = U^2 y gives F[U]/U^2 on [y]
-    h = graded_homology([[0, up.mono(2)], [0, 0]], [5, 2])
-    assert h.free == []
-    assert [(g, k) for g, k, _ in h.torsion] == [(5, 2)]
+    # d(x) = U^2 y gives F[U]/U^2 on [y]; with no unit arrow nothing is
+    # cancelled, and the output is exactly that of the two dense passes
+    d, maslov = [[0, up.mono(2)], [0, 0]], [5, 2]
+    h = graded_homology(d, maslov)
+    assert (h.free, h.torsion) == ([], [(5, 2, [1, 0])])
+    assert (h.free, h.torsion) == _two_pass_reference(d, maslov)
     rep = h.torsion[0][2]
     assert h.class_coords(up.mat_vec([[up.mono(2), 0], [0, up.mono(2)]], rep))[1] == [0]
 
@@ -73,6 +93,119 @@ def test_homology_not_a_cycle():
     h = graded_homology([[0, up.mono(1)], [0, 0]], [1, 0])
     with pytest.raises(ValueError):
         h.class_coords([0, up.mono(0)])
+
+
+def _two_pass_reference(d, maslov):
+    """Reference decomposition: both Smith normal forms on the whole d.
+
+    Returns (free, torsion) as graded_homology does, with no cancellation.
+    """
+    n = len(d)
+    s1 = up.smith_normal_form(d)
+    rho = s1.rank
+    kernel_cols = [[s1.R[i][k] for k in range(rho, n)] for i in range(n)]
+    ri_li = up.mat_mul(s1.Rinv, s1.Linv)
+    rel = [
+        [up.mul(s1.d[k], ri_li[rho + r][k]) for k in range(rho)]
+        for r in range(n - rho)
+    ]
+    s2 = up.smith_normal_form(rel)
+    free, torsion = [], []
+    dprime = list(s2.d) + [0] * (n - rho - len(s2.d))
+    for r in range(n - rho):
+        if dprime[r] == 1:
+            continue
+        rep = up.mat_vec(kernel_cols, [s2.Linv[i][r] for i in range(n - rho)])
+        grading = vector_grading(rep, maslov)
+        if dprime[r] == 0:
+            free.append((grading, rep))
+        else:
+            torsion.append((grading, up.deg(dprime[r]), rep))
+    return free, torsion
+
+
+def _worked_examples():
+    out = []
+    for c in (right_trefoil_complex(), left_trefoil_complex()):
+        relabel(c, {"a": "z0", "b": "z1_1", "c": "z1_2"})
+        out.append((c, standard_staircase_involution(c)))
+    fe = figure_eight_complex()
+    out.append((fe, figure_eight_involution(fe)))
+    u = unknot_complex()
+    out.append((u, identity_involution(u)))
+    return out
+
+
+def _cancellation_inputs():
+    """(d, maslov) of build_cone and of A0- for the worked examples, the
+    model complex of every odd pair with m <= 21 and every full complex
+    whose cone has at most 60 generators, each also dualized."""
+    pairs = []
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            mc = model_complex(params)
+            pairs.append((mc, model_involution_for(params, mc)))
+            if 2 * (4 + (m - 2) * (n - 2)) <= 60:
+                fc = full_complex(params)
+                pairs.append((fc, full_involution(params, fc)))
+    cases = _worked_examples()
+    for c, iota in pairs:
+        d = dualize(c)
+        cases += [(c, iota), (d, dual_involution(iota, d))]
+    inputs = []
+    for c, iota in cases:
+        cone = build_cone(c, iota)
+        a0 = subquotient(c, "A0minus")
+        inputs += [(cone.d, cone.maslov), (a0.matrix(), a0.maslov)]
+    return inputs
+
+
+def test_cancelled_homology_matches_two_pass_reference():
+    inputs = _cancellation_inputs()
+    assert len(inputs) == 4 * (55 + 14) + 8
+    for d, maslov in inputs:
+        h = graded_homology(d, maslov)
+        free, torsion = _two_pass_reference(d, maslov)
+        assert sorted(g for g, _ in h.free) == sorted(g for g, _ in free)
+        assert sorted((g, k) for g, k, _ in h.torsion) == sorted(
+            (g, k) for g, k, _ in torsion
+        )
+        summands = [(g, rep) for g, rep in h.free] + [(g, rep) for g, _k, rep in h.torsion]
+        for pos, (g, rep) in enumerate(summands):
+            assert not any(up.mat_vec(d, rep))
+            assert vector_grading(rep, maslov) == g
+            unit = [1 if i == pos else 0 for i in range(len(summands))]
+            assert sum(h.class_coords(rep), []) == unit
+        # every boundary, with or without parts on cancelled generators,
+        # is the zero class
+        for col in zip(*d):
+            assert not any(sum(h.class_coords(list(col)), []))
+
+
+def test_cancelled_unit_arrow_is_acyclic():
+    # one unit arrow from x (grading 1) to y (grading 0)
+    h = graded_homology([[0, 1], [0, 0]], [0, 1])
+    assert (h.free, h.torsion) == ([], [])
+    assert h.class_coords([0, 0]) == ([], [])
+    assert h.class_coords([1, 0]) == ([], [])  # y is a boundary
+    with pytest.raises(ValueError, match="not a cycle"):
+        h.class_coords([0, 1])  # x, the source of the cancelled arrow
+
+
+def test_homology_logs_cancellation_sizes(caplog):
+    c, iota = _worked_examples()[1]  # left trefoil
+    cone = build_cone(c, iota)
+    with caplog.at_level(logging.DEBUG, logger="cfku.homology"):
+        graded_homology(cone.d, cone.maslov)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        (
+            "cfku.homology",
+            "DEBUG",
+            "homology: 6 generators, 4 after cancellation; SNF rank 1; "
+            "2 towers, 1 torsion summands",
+        )
+    ]
 
 
 def test_v0_values():
