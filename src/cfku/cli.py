@@ -94,6 +94,21 @@ def _verify_case(case: tuple[int, int, bool, bool]) -> dict:
     return report_dict(m, n, mirrored, deep=deep)
 
 
+def _collect(reports) -> list[dict]:
+    """Drain the case reports in case order, logging each as it finishes."""
+    out = []
+    for r in reports:
+        failed = [name for name, ok in r["checks"].items() if not ok]
+        log.info(
+            "verify m=%d n=%d %s: (V0, lower, upper) = (%d, %d, %d) %s",
+            r["m"], r["n"], "mirror" if r["mirrored"] else "knot",
+            r["V0"], r["V0_lower"], r["V0_upper"],
+            "MISMATCH " + ", ".join(failed) if failed else "ok",
+        )
+        out.append(r)
+    return out
+
+
 def cmd_verify(parser, args) -> int:
     if args.m_max % 2 == 0 or args.m_max < 3:
         parser.error("--m-max must be odd and at least 3")
@@ -107,9 +122,9 @@ def cmd_verify(parser, args) -> int:
             cases.append((m, n, True, False))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_case, cases))
+            reports = _collect(pool.map(_verify_case, cases))
     else:
-        reports = [_verify_case(c) for c in cases]
+        reports = _collect(map(_verify_case, cases))
     reports.sort(key=lambda r: (r["m"], r["n"], r["mirrored"]))
     failures = [r for r in reports if not all(r["checks"].values())]
     if args.format == "json":

@@ -27,8 +27,8 @@ Conventions used throughout:
 Complexes are validated once, where they are built or read: in
 build_staircase and dualize here, in the pretzel constructors, and in
 render.complex_from_json.  subquotient and everything downstream take
-their input as valid; graded_homology still checks d^2 = 0 on the raw
-matrices it is given.
+their input as valid; homology.sparse_homology still checks d^2 = 0 on
+every differential it is given.
 """
 
 from __future__ import annotations

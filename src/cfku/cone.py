@@ -2,13 +2,16 @@
 
 The cone is a free F2[U]-complex on two copies of an A0- basis, written
 {x} and {Qx}, with differential d + Q(1 + iota) and gradings shifted so
-that Q has degree -1.  Its homology carries exactly two infinite towers;
-the lower correction term reads off the tower surviving the image of the
-Q-action, the upper one the quotient tower.
+that Q has degree -1.  ConeComplex stores the differential and Q as
+exponent maps, one int a per entry meaning U^a, like every map in cfku;
+Q is the index shift x_i -> Qx_i, and homology.sparse_homology takes the
+differential as it is.  The cone homology carries exactly two infinite
+towers; the lower correction term reads off the tower surviving the
+image of the Q-action, the upper one the quotient tower.
 
 involutive_invariants reads every invariant from the cancelled A0-:
 cancel_units removes each unit (U^0) arrow of A0- through the Gaussian
-elimination that graded_homology also runs (homology.cancel_unit_arrows)
+elimination that every homology also runs (homology.cancel_unit_arrows)
 and carries iota along as P iota I, with I and P the inclusion and
 projection of that elimination.  This gives a complex with involution
 that is iota-homotopy equivalent to (A0-, iota) and so has the same V0,
@@ -35,13 +38,15 @@ from .complexes import (
     SparseMap,
     SubquotientComplex,
     _compose,
+    add_term,
     subquotient,
 )
 from .homology import (
     GradedModule,
+    _apply,
     cancel_unit_arrows,
-    graded_homology,
     homology_over_U,
+    sparse_homology,
     v0_from_homology,
     vector_grading,
 )
@@ -106,41 +111,48 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
 
 @dataclass
 class ConeComplex:
-    """Cone of 1 + iota: basis x_0..x_{n-1}, Qx_0..Qx_{n-1}."""
+    """Cone of 1 + iota: basis x_0..x_{n-1}, Qx_0..Qx_{n-1}.
+
+    diff and q are exponent maps, one int a per entry meaning U^a, on
+    the 2n generators.  q is the Q-action, the index shift x_i -> Qx_i:
+    {(n + i, i): 0}.
+    """
 
     labels: list[str]
     maslov: list[int]
-    d: list[list[int]]
-    q: list[list[int]]  # the Q-action endomorphism
+    diff: SparseMap
+    q: SparseMap
 
 
 def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
-    """Dense cone of 1 + f on the complex a0, f one exponent per entry."""
+    """Cone of 1 + f on the complex a0, f one exponent per entry.
+
+    The arrows x_i -> Qx_i of the identity and those of f are summed
+    over F2, so a unit diagonal entry of f cancels its identity arrow.
+    """
     n = len(a0.basis)
     labels = a0.labels()
     labels = labels + ["Q " + lab for lab in labels]
     maslov = [m + 1 for m in a0.maslov] + list(a0.maslov)
-    d = up.mat_zero(2 * n, 2 * n)
+    diff: SparseMap = {}
     for (t, s), e in a0.diff.items():
-        d[t][s] = d[n + t][n + s] = up.mono(e)
-    for i in range(n):
-        d[n + i][i] = 1
+        diff[(t, s)] = diff[(n + t, n + s)] = e
+    q: SparseMap = {(n + i, i): 0 for i in range(n)}
+    diff.update(q)  # Q(1 + f): its identity part is q itself
     for (t, s), e in f.items():
-        d[n + t][s] ^= up.mono(e)
-    q = up.mat_zero(2 * n, 2 * n)
-    for i in range(n):
-        q[n + i][i] = 1
-    return ConeComplex(labels, maslov, d, q)
+        add_term(diff, (n + t, s), e)
+    return ConeComplex(labels, maslov, diff, q)
 
 
 def build_cone(c: FilteredComplex, iota: Involution) -> ConeComplex:
-    """The unreduced cone on the whole A0- basis: the dense oracle."""
+    """The unreduced cone on the whole A0- basis: the oracle for the
+    cone of the cancelled A0-."""
     a0 = subquotient(c, "A0minus")
     return _assemble_cone(a0, restrict_to_a0(iota, a0))
 
 
 def cone_homology(cone: ConeComplex) -> GradedModule:
-    return graded_homology(cone.d, cone.maslov)
+    return sparse_homology(cone.diff, cone.maslov)
 
 
 def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list[list[int]]]:
@@ -152,7 +164,7 @@ def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list
     appears.
     """
     reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
-    coords = [h.class_coords(up.mat_vec(cone.q, rep)) for rep in reps]
+    coords = [h.class_coords(_apply(cone.q, rep, len(rep))) for rep in reps]
     return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
 
 

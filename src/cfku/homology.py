@@ -1,20 +1,26 @@
 """Homology of free graded F2[U]-complexes and the classical outputs.
 
-graded_homology first cancels every unit (U^0) arrow of the differential
-by Gaussian elimination (cancel_unit_arrows), a homotopy equivalence
-that leaves the homology unchanged, and then decomposes what survives in
-two Smith normal form passes: one on the differential to split off the
+sparse_homology is the one homology routine.  It takes the differential
+as an exponent map (one int a per entry, meaning U^a, as everywhere in
+cfku), checks d^2 = 0 on that map, cancels every unit (U^0) arrow by
+Gaussian elimination (cancel_unit_arrows), a homotopy equivalence that
+leaves the homology unchanged, and then decomposes what survives in two
+Smith normal form passes: one on the differential to split off the
 kernel, and one on the relation matrix of the image inside the kernel to
-read off the tower and torsion summands.  Both matrices must be graded,
-every nonzero entry a single monomial U^a; a non-monomial entry raises
-ValueError, which the CLI reports as an internal error (exit 4).  Both
-passes track the unimodular transforms and their inverses, and the
-elimination keeps its inclusion and projection, so every summand comes
-with an explicit cycle representative in the original basis and any
-cycle of the original complex can be rewritten in summand coordinates
-(needed for the image-of-Q tests in the involutive invariants).  The
-cycle check of class_coords runs on the original differential, since
-the projection can send a non-cycle to a cycle.
+read off the tower and torsion summands.  Both passes track the
+unimodular transforms and their inverses, and the elimination keeps its
+inclusion and projection, so every summand comes with an explicit cycle
+representative in the original basis and any cycle of the original
+complex can be rewritten in summand coordinates (needed for the
+image-of-Q tests in the involutive invariants).  The cycle check of
+class_coords runs on the original differential, since the projection
+can send a non-cycle to a cycle.
+
+graded_homology is the dense front door: it takes one square matrix of
+F2[U] polynomials, checks d^2 = 0 on it, reads each entry as one
+exponent and calls sparse_homology.  A non-monomial entry means the
+differential is not graded and raises ValueError, which the CLI reports
+as an internal error (exit 4).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .complexes import (
     FilteredComplex,
     SparseMap,
     SubquotientComplex,
+    _compose,
     add_term,
     subquotient,
 )
@@ -169,26 +176,16 @@ class GradedModule:
         return fc, tc
 
 
-def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
-    """Homology of an F2[U]-complex given by one square matrix d, d^2=0.
+def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
+    """Homology of the differential diff on len(maslov) generators, d^2=0.
 
-    The unit arrows are cancelled first and both Smith normal forms run
-    on what survives; representatives are lifted to the basis of d.
+    diff holds one exponent per entry.  The unit arrows are cancelled
+    first and both Smith normal forms run on what survives;
+    representatives are lifted to the original basis.
     """
-    n = len(d)
-    dd = up.mat_mul(d, d)
-    if any(any(row) for row in dd):
+    n = len(maslov)
+    if _compose(diff, diff):
         raise ValueError("differential does not square to zero")
-    diff: SparseMap = {}
-    for t, row in enumerate(d):
-        for s, p in enumerate(row):
-            if p:
-                if p & (p - 1):
-                    raise ValueError(
-                        "entry (%d, %d) is not a monomial: differential is not graded"
-                        % (t, s)
-                    )
-                diff[(t, s)] = up.deg(p)
     keep, reduced, inc, proj = cancel_unit_arrows(diff, n)
     k = len(keep)
     dk = up.mat_zero(k, k)
@@ -243,8 +240,31 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
     )
 
 
+def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
+    """Homology of an F2[U]-complex given by one dense square matrix d.
+
+    The dense front door to sparse_homology: checks d^2 = 0 on the
+    matrix, reads every entry as one exponent (a non-monomial entry
+    raises ValueError) and hands the exponent map on.
+    """
+    dd = up.mat_mul(d, d)
+    if any(any(row) for row in dd):
+        raise ValueError("differential does not square to zero")
+    diff: SparseMap = {}
+    for t, row in enumerate(d):
+        for s, p in enumerate(row):
+            if p:
+                if p & (p - 1):
+                    raise ValueError(
+                        "entry (%d, %d) is not a monomial: differential is not graded"
+                        % (t, s)
+                    )
+                diff[(t, s)] = up.deg(p)
+    return sparse_homology(diff, maslov)
+
+
 def homology_over_U(sq: SubquotientComplex) -> GradedModule:
-    return graded_homology(sq.matrix(), sq.maslov)
+    return sparse_homology(sq.diff, sq.maslov)
 
 
 def v0_from_homology(h: GradedModule) -> int:

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, formats, parallel determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -117,6 +118,35 @@ def test_verify_small(capsys):
     assert run(["verify", "--m-max", "3"]) == 0
     out = capsys.readouterr().out
     assert "2 cases, 0 failures" in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_logs_each_case_in_order(caplog, capsys, jobs):
+    with caplog.at_level(logging.INFO, logger="cfku"):
+        assert run(["verify", "--m-max", "5", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out.endswith("6 cases, 0 failures\n")
+    lines = [m for m in caplog.messages if m.startswith("verify ")]
+    assert {(r.name, r.levelname) for r in caplog.records} == {("cfku", "INFO")}
+    assert lines == [
+        "verify m=3 n=3 knot: (V0, lower, upper) = (0, 0, -1) ok",
+        "verify m=3 n=3 mirror: (V0, lower, upper) = (1, 1, 1) ok",
+        "verify m=5 n=3 knot: (V0, lower, upper) = (0, 0, -2) ok",
+        "verify m=5 n=3 mirror: (V0, lower, upper) = (2, 2, 2) ok",
+        "verify m=5 n=5 knot: (V0, lower, upper) = (0, 0, -2) ok",
+        "verify m=5 n=5 mirror: (V0, lower, upper) = (2, 3, 2) ok",
+    ]
+
+
+def test_verify_mismatch_is_logged(monkeypatch, caplog, capsys):
+    broken = report_dict(3, 3, mirrored=False, deep=False)
+    broken["checks"]["theorem_match"] = False
+    monkeypatch.setattr(cli, "report_dict", lambda *a, **k: dict(broken))
+    with caplog.at_level(logging.INFO, logger="cfku"):
+        assert run(["verify", "--m-max", "3"]) == 1
+    capsys.readouterr()
+    assert caplog.messages[-1] == (
+        "verify m=3 n=3 knot: (V0, lower, upper) = (0, 0, -1) MISMATCH theorem_match"
+    )
 
 
 def test_verify_jobs_deterministic(tmp_path):

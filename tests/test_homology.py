@@ -3,12 +3,15 @@
 Small decompositions are checked against hand values; random staircases
 exercise the representative and coordinate machinery (reps are cycles,
 coordinates of a rep form a unit vector, torsion reps die at their
-order).  graded_homology, which cancels unit arrows before its Smith
+order).  sparse_homology, which cancels unit arrows before its Smith
 normal forms, is checked against the two dense passes on the whole
-matrix over the worked examples and the pretzel cones.  The bigraded
-rank tables for the three small knots are the standard published values.
+matrix, and its entry points cone_homology and homology_over_U against
+the dense front door graded_homology, over the worked examples and the
+pretzel cones.  The bigraded rank tables for the three small knots are
+the standard published values.
 """
 
+import functools
 import logging
 
 import pytest
@@ -25,7 +28,7 @@ from cfku.complexes import (
     subquotient,
     unknot_complex,
 )
-from cfku.cone import build_cone
+from cfku.cone import build_cone, cone_homology
 from cfku.homology import (
     _f2_rank,
     alexander_poly,
@@ -33,6 +36,7 @@ from cfku.homology import (
     graded_homology,
     hfk_hat,
     homology_over_U,
+    sparse_homology,
     v0,
     vector_grading,
 )
@@ -81,6 +85,9 @@ def test_homology_single_torsion():
 def test_homology_rejects_d_squared():
     with pytest.raises(ValueError):
         graded_homology([[0, 1], [1, 0]], [0, 1])
+    # x2 -> x1 -> x0, both unit arrows: d^2 x2 = x0
+    with pytest.raises(ValueError, match="square to zero"):
+        sparse_homology({(1, 0): 0, (2, 1): 0}, [2, 1, 0])
 
 
 def test_homology_rejects_ungraded():
@@ -136,10 +143,21 @@ def _worked_examples():
     return out
 
 
+def _dense(diff, n):
+    """The dense n x n matrix of an exponent map."""
+    d = up.mat_zero(n, n)
+    for (t, s), e in diff.items():
+        d[t][s] = up.mono(e)
+    return d
+
+
+@functools.cache
 def _cancellation_inputs():
-    """(d, maslov) of build_cone and of A0- for the worked examples, the
-    model complex of every odd pair with m <= 21 and every full complex
-    whose cone has at most 60 generators, each also dualized."""
+    """(d, maslov, h) of build_cone and of A0- for the worked examples,
+    the model complex of every odd pair with m <= 21 and every full
+    complex whose cone has at most 60 generators, each also dualized: d
+    the dense matrix of the differential, h the homology from the sparse
+    entry point, cone_homology or homology_over_U."""
     pairs = []
     for m in range(3, 22, 2):
         for n in range(3, m + 1, 2):
@@ -157,15 +175,28 @@ def _cancellation_inputs():
     for c, iota in cases:
         cone = build_cone(c, iota)
         a0 = subquotient(c, "A0minus")
-        inputs += [(cone.d, cone.maslov), (a0.matrix(), a0.maslov)]
+        inputs += [
+            (_dense(cone.diff, len(cone.maslov)), cone.maslov, cone_homology(cone)),
+            (_dense(a0.diff, len(a0.maslov)), a0.maslov, homology_over_U(a0)),
+        ]
     return inputs
+
+
+def test_sparse_entry_points_match_dense_graded_homology():
+    inputs = _cancellation_inputs()
+    assert len(inputs) == 4 * (55 + 14) + 8
+    for d, maslov, h in inputs:
+        dense = graded_homology(d, maslov)
+        assert (h.free, h.torsion) == (dense.free, dense.torsion)
+        reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
+        for x in reps + [list(col) for col in zip(*d)]:
+            assert h.class_coords(x) == dense.class_coords(x)
 
 
 def test_cancelled_homology_matches_two_pass_reference():
     inputs = _cancellation_inputs()
     assert len(inputs) == 4 * (55 + 14) + 8
-    for d, maslov in inputs:
-        h = graded_homology(d, maslov)
+    for d, maslov, h in inputs:
         free, torsion = _two_pass_reference(d, maslov)
         assert sorted(g for g, _ in h.free) == sorted(g for g, _ in free)
         assert sorted((g, k) for g, k, _ in h.torsion) == sorted(
@@ -197,7 +228,7 @@ def test_homology_logs_cancellation_sizes(caplog):
     c, iota = _worked_examples()[1]  # left trefoil
     cone = build_cone(c, iota)
     with caplog.at_level(logging.DEBUG, logger="cfku.homology"):
-        graded_homology(cone.d, cone.maslov)
+        cone_homology(cone)
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
         (
             "cfku.homology",
