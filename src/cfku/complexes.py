@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-from . import upoly as up
-
 # (target index, source index) -> a, for the entry U^a
 SparseMap = dict[tuple[int, int], int]
 Key = TypeVar("Key")
@@ -108,13 +106,6 @@ class SubquotientComplex:
                 label = "U^%d %s" % (k0, label)
             out.append(label)
         return out
-
-    def matrix(self) -> list[list[int]]:
-        n = len(self.basis)
-        m = up.mat_zero(n, n)
-        for (t, s), e in self.diff.items():
-            m[t][s] = up.mono(e)
-        return m
 
 
 # ---------------------------------------------------------------------------

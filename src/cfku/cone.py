@@ -11,15 +11,16 @@ image of the Q-action, the upper one the quotient tower.
 
 involutive_invariants reads every invariant from the cancelled A0-:
 cancel_units removes each unit (U^0) arrow of A0- through the Gaussian
-elimination that every homology also runs (homology.cancel_unit_arrows)
-and carries iota along as P iota I, with I and P the inclusion and
-projection of that elimination.  This gives a complex with involution
-that is iota-homotopy equivalent to (A0-, iota) and so has the same V0,
-lower V0 and upper V0.  build_cone is the unreduced cone on the whole
-A0- basis; it is kept as the oracle that the reduced path is tested
-against and is what `cfku show --which cone` renders.  Its homology,
-like every homology, runs the Smith normal forms only on what survives
-the cancellation of its own unit arrows.
+elimination that every homology also runs (homology.eliminate), stopped
+after the unit pivots, and carries iota along as P iota I, with I and P
+the inclusion and projection of that elimination.  Only the unit pivots
+keep P iota I an iota-homotopy equivalence, so this gives a complex
+with involution that is iota-homotopy equivalent to (A0-, iota) and has
+the same V0, lower V0 and upper V0.  build_cone is the unreduced cone on
+the whole A0- basis; it is kept as the oracle that the reduced path is
+tested against and is what `cfku show --which cone` renders.  Its
+homology, like every homology, comes from the same elimination run over
+all arrows.
 
 Two independent extractors read the cone.  involutive_vs diagonalizes
 the induced Q-action on the free part of the homology.  brute_force_vs
@@ -44,7 +45,7 @@ from .complexes import (
 from .homology import (
     GradedModule,
     _apply,
-    cancel_unit_arrows,
+    eliminate,
     homology_over_U,
     sparse_homology,
     v0_from_homology,
@@ -80,16 +81,16 @@ def restrict_to_a0(iota: Involution, a0: SubquotientComplex) -> SparseMap:
 def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientComplex, SparseMap]:
     """A0- with every unit arrow cancelled, and iota carried along.
 
-    homology.cancel_unit_arrows removes the unit arrows of A0- and gives
-    the inclusion I and projection P of the homotopy equivalence; iota
-    becomes iota' = P iota I.  The result keeps the surviving entries of
-    the A0- basis.  iota' squares to the Sarkar map only up to homotopy,
-    so it is not an Involution; instead d'^2 = 0, iota' d' = d' iota' and
-    the grading law of every entry are checked, and any failure raises
-    ValueError.
+    homology.eliminate, stopped after the unit pivots, removes the unit
+    arrows of A0- and gives the inclusion I and projection P of the
+    homotopy equivalence; iota becomes iota' = P iota I.  The result
+    keeps the surviving entries of the A0- basis.  iota' squares to the
+    Sarkar map only up to homotopy, so it is not an Involution; instead
+    d'^2 = 0, iota' d' = d' iota' and the grading law of every entry are
+    checked, and any failure raises ValueError.
     """
     a0 = subquotient(c, "A0minus")
-    keep, diff, inc, proj = cancel_unit_arrows(a0.diff, len(a0.basis))
+    keep, diff, inc, proj, _torsion = eliminate(a0.diff, len(a0.basis), units_only=True)
     fmap = _compose(proj, _compose(restrict_to_a0(iota, a0), inc))
     maslov = [a0.maslov[k] for k in keep]
     problems = [

@@ -2,19 +2,21 @@
 
 sparse_homology is the one homology routine.  It takes the differential
 as an exponent map (one int a per entry, meaning U^a, as everywhere in
-cfku), checks d^2 = 0 on that map, cancels every unit (U^0) arrow by
-Gaussian elimination (cancel_unit_arrows), a homotopy equivalence that
-leaves the homology unchanged, and then decomposes what survives in two
-Smith normal form passes: one on the differential to split off the
-kernel, and one on the relation matrix of the image inside the kernel to
-read off the tower and torsion summands.  Both passes track the
-unimodular transforms and their inverses, and the elimination keeps its
-inclusion and projection, so every summand comes with an explicit cycle
-representative in the original basis and any cycle of the original
-complex can be rewritten in summand coordinates (needed for the
+cfku), checks d^2 = 0 on that map and runs one Gaussian elimination
+(eliminate) over all arrows.  Each step pivots on the entry U^a of
+lowest exponent in what remains; a unit pivot (a = 0) cancels an
+acyclic piece, and a pivot with a > 0 splits off a torsion summand
+F[U]/U^a.  Generators left with no arrows are the towers.  This is the
+structure theorem for free graded complexes over F[U] run as an
+algorithm (the reduction method of Kaczynski, Mischaikow and Mrozek,
+"Computational Homology").  The elimination keeps its inclusion and
+projection, so every summand comes with an explicit cycle representative
+in the original basis and a coordinate functional, and any cycle of the
+original complex can be rewritten in summand coordinates (needed for the
 image-of-Q tests in the involutive invariants).  The cycle check of
 class_coords runs on the original differential, since the projection
-can send a non-cycle to a cycle.
+can send a non-cycle to a cycle.  cone.cancel_units runs the same
+elimination with units_only, which stops after the unit pivots.
 
 graded_homology is the dense front door: it takes one square matrix of
 F2[U] polynomials, checks d^2 = 0 on it, reads each entry as one
@@ -42,6 +44,10 @@ from .complexes import (
 
 log = logging.getLogger(__name__)
 
+# (y, a, representative, functional) of one torsion piece F[U]/U^a, the
+# last two as {original index: exponent}
+Summand = tuple[int, int, dict[int, int], dict[int, int]]
+
 
 def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
     """Grading of a homogeneous vector, None for the zero vector.
@@ -64,22 +70,33 @@ def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
     return grading
 
 
-def cancel_unit_arrows(
-    diff: SparseMap, n: int
-) -> tuple[list[int], SparseMap, SparseMap, SparseMap]:
-    """Cancel every unit arrow of a differential by Gaussian elimination.
+def eliminate(
+    diff: SparseMap, n: int, *, units_only: bool
+) -> tuple[list[int], SparseMap, SparseMap, SparseMap, list[Summand]]:
+    """Split pieces x -> U^a y off a differential by Gaussian elimination.
 
     diff is a differential on n generators, one exponent per entry.  Each
-    step takes the U^0 entry d[y, x] of lowest source x, then lowest
-    target y, and removes x and y.  With the homotopy equivalence
+    step takes the entry d[y, x] = U^a of lowest exponent in the whole
+    remaining differential, ties broken by lowest source x, then lowest
+    target y; with units_only only U^0 entries are taken.  In the basis
+    y' = U^-a dx and s + U^-a d[y, s] x the piece x -> U^a y' splits off,
+    and with the inclusion and projection
 
-        i(z) = z + d[y, z] x        p(w) = w + w_y d[:, x]
+        i(z) = z + U^-a d[y, z] x        p(w) = w + w_y U^-a d[:, x]
 
-    the rest carries d' = d + d[:, x] d[y, :].  Returns (keep, d', I, P):
-    the surviving indices in increasing order, d' on positions in keep,
-    the composite inclusion I with entries (original, kept) and the
-    composite projection P with entries (kept, original).  Sums go
-    through add_term, so an ungraded differential raises ValueError.
+    the rest carries d' = d + d[:, x] U^-a d[y, :].  Every new exponent is
+    at least a, so the pivots come in nondecreasing order of a, and the
+    U^0 pivots, which cancel acyclic pieces, come first.
+
+    Returns (keep, d', I, P, torsion): the surviving indices in increasing
+    order, d' on positions in keep, the composite inclusion I with entries
+    (original, kept), the composite projection P with entries (kept,
+    original), and one (y, a, rep, functional) per pivot with a > 0, the
+    summand F[U]/U^a on y' with representative I y' and coordinate
+    functional row y of P, both {original: exponent}, as they stand at the
+    pivot.  Sums go through add_term, so an ungraded differential raises
+    ValueError.  Without units_only no arrow survives, and the kept
+    generators are the towers.
     """
     cols: defaultdict[int, dict[int, int]] = defaultdict(dict)  # s -> {t: a}
     rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # t -> {s: a}
@@ -87,16 +104,23 @@ def cancel_unit_arrows(
         cols[s][t] = rows[t][s] = a
     inc = {k: {k: 0} for k in range(n)}  # column k of I: {original: a}
     proj = {k: {k: 0} for k in range(n)}  # row k of P: {original: a}
-    units = [(s, t) for (t, s), a in diff.items() if a == 0]
-    heapq.heapify(units)
-    while units:
-        x, y = heapq.heappop(units)
-        if x not in inc or cols[x].get(y) != 0:
-            continue  # cancelled or changed since it was queued
-        dcol = [(t, a) for t, a in cols[x].items() if t not in (x, y)]
-        drow = [(s, b) for s, b in rows[y].items() if s not in (x, y)]
-        icol, prow = inc.pop(x), proj.pop(y)
-        del inc[y], proj[x]
+    torsion: list[Summand] = []
+    heap = [(a, s, t) for (t, s), a in diff.items() if a == 0 or not units_only]
+    heapq.heapify(heap)
+    while heap:
+        c, x, y = heapq.heappop(heap)
+        if x not in inc or cols[x].get(y) != c:
+            continue  # eliminated or changed since it was queued
+        dcol = [(t, a - c) for t, a in cols[x].items() if t not in (x, y)]
+        drow = [(s, b - c) for s, b in rows[y].items() if s not in (x, y)]
+        icol, iy, prow = inc.pop(x), inc.pop(y), proj.pop(y)
+        del proj[x]
+        if c:
+            rep = dict(iy)
+            for t, a in dcol:
+                for o, e in inc[t].items():
+                    add_term(rep, o, e + a)
+            torsion.append((y, c, rep, prow))
         for k in (x, y):
             for t in cols.pop(k, {}):
                 del rows[t][k]
@@ -105,11 +129,11 @@ def cancel_unit_arrows(
         for s, b in drow:
             col = cols[s]
             for t, a in dcol:
-                add_term(col, t, a + b)
+                add_term(col, t, a + b + c)
                 if t in col:
                     rows[t][s] = col[t]
-                    if col[t] == 0:
-                        heapq.heappush(units, (s, t))
+                    if col[t] == 0 or not units_only:
+                        heapq.heappush(heap, (col[t], s, t))
                 else:
                     del rows[t][s]
             for o, e in icol.items():
@@ -123,7 +147,7 @@ def cancel_unit_arrows(
     reduced = {(slot[t], slot[s]): a for s in keep for t, a in cols[s].items()}
     i_map = {(o, slot[k]): e for k in keep for o, e in inc[k].items()}
     p_map = {(slot[k], o): e for k in keep for o, e in proj[k].items()}
-    return keep, reduced, i_map, p_map
+    return keep, reduced, i_map, p_map, torsion
 
 
 def _apply(m: SparseMap, v: list[int], size: int) -> list[int]:
@@ -132,6 +156,14 @@ def _apply(m: SparseMap, v: list[int], size: int) -> list[int]:
     for (t, s), e in m.items():
         if v[s]:
             out[t] ^= v[s] << e
+    return out
+
+
+def _vector(vec: dict[int, int], n: int) -> list[int]:
+    """The dense vector of {index: exponent}, n entries."""
+    out = [0] * n
+    for o, e in vec.items():
+        out[o] = 1 << e
     return out
 
 
@@ -144,19 +176,12 @@ class GradedModule:
     vectors in the basis of the underlying complex.
     """
 
-    maslov: list[int]
     free: list[tuple[int, list[int]]]
     torsion: list[tuple[int, int, list[int]]]
-    # internals for coordinates of arbitrary cycles: the original
-    # differential, the projection onto the cancelled complex and the
-    # transforms of its two Smith normal forms
+    # for coordinates of arbitrary cycles: the original differential and
+    # one functional {original: exponent} per summand, towers first
     _diff: SparseMap
-    _proj: SparseMap
-    _rho: int
-    _Rinv: list[list[int]]
-    _Lp: list[list[int]]
-    _free_slots: list[int]
-    _torsion_slots: list[int]
+    _functionals: list[dict[int, int]]
 
     def class_coords(self, x: list[int]) -> tuple[list[int], list[int]]:
         """Coordinates of the class [x] as (free coords, torsion coords).
@@ -166,78 +191,45 @@ class GradedModule:
         """
         if any(_apply(self._diff, x, len(x))):
             raise ValueError("vector is not a cycle")
-        y = up.mat_vec(self._Rinv, _apply(self._proj, x, len(self._Rinv)))
-        w = up.mat_vec(self._Lp, y[self._rho :])
-        fc = [w[r] for r in self._free_slots]
-        tc = []
-        for pos, r in enumerate(self._torsion_slots):
-            order = self.torsion[pos][1]
-            tc.append(w[r] & (up.mono(order) - 1))
-        return fc, tc
+        coords = []
+        for f in self._functionals:
+            acc = 0
+            for o, e in f.items():
+                if x[o]:
+                    acc ^= x[o] << e
+            coords.append(acc)
+        nf = len(self.free)
+        orders = [k for _g, k, _rep in self.torsion]
+        return coords[:nf], [c & ((1 << k) - 1) for c, k in zip(coords[nf:], orders)]
 
 
 def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
     """Homology of the differential diff on len(maslov) generators, d^2=0.
 
-    diff holds one exponent per entry.  The unit arrows are cancelled
-    first and both Smith normal forms run on what survives;
-    representatives are lifted to the original basis.
+    diff holds one exponent per entry.  One elimination over all arrows
+    splits the complex into towers and torsion pieces; representatives
+    and functionals are in the original basis.
     """
     n = len(maslov)
     if _compose(diff, diff):
         raise ValueError("differential does not square to zero")
-    keep, reduced, inc, proj = cancel_unit_arrows(diff, n)
-    k = len(keep)
-    dk = up.mat_zero(k, k)
-    for (t, s), e in reduced.items():
-        dk[t][s] = up.mono(e)
-    s1 = up.smith_normal_form(dk)
-    rho = s1.rank
-    # cycles of the cancelled complex: columns rho.. of R
-    kernel_cols = [[s1.R[i][j] for j in range(rho, k)] for i in range(k)]
-    # image generators in kernel coordinates give the relation matrix
-    ri_li = up.mat_mul(s1.Rinv, s1.Linv)
-    rel = [
-        [up.mul(s1.d[j], ri_li[rho + r][j]) for j in range(rho)]
-        for r in range(k - rho)
-    ]
-    s2 = up.smith_normal_form(rel)
-    free: list[tuple[int, list[int]]] = []
-    torsion: list[tuple[int, int, list[int]]] = []
-    free_slots: list[int] = []
-    torsion_slots: list[int] = []
-    dprime = list(s2.d) + [0] * (k - rho - len(s2.d))
-    for r in range(k - rho):
-        order_poly = dprime[r]
-        if order_poly == 1:
-            continue
-        rep = _apply(
-            inc, up.mat_vec(kernel_cols, [s2.Linv[i][r] for i in range(k - rho)]), n
-        )
-        grading = vector_grading(rep, maslov)
-        if order_poly == 0:
-            free.append((grading, rep))
-            free_slots.append(r)
-        else:
-            torsion.append((grading, up.deg(order_poly), rep))
-            torsion_slots.append(r)
+    keep, _reduced, inc, proj, pieces = eliminate(diff, n, units_only=False)
+    towers: list[dict[int, int]] = [{} for _ in keep]
+    functionals: list[dict[int, int]] = [{} for _ in keep]
+    for (o, k), e in inc.items():
+        towers[k][o] = e
+    for (k, o), e in proj.items():
+        functionals[k][o] = e
+    free = [(maslov[k], _vector(rep, n)) for k, rep in zip(keep, towers)]
+    torsion = [(maslov[y], a, _vector(rep, n)) for y, a, rep, _f in pieces]
+    functionals += [f for _y, _a, _rep, f in pieces]
     log.debug(
-        "homology: %d generators, %d after cancellation; SNF rank %d; "
-        "%d towers, %d torsion summands",
-        n, k, rho, len(free), len(torsion),
+        "homology: %d generators, %d unit arrows cancelled; "
+        "%d towers, %d torsion summands (max order %d)",
+        n, (n - len(keep)) // 2 - len(pieces), len(free), len(torsion),
+        max((a for _y, a, _rep, _f in pieces), default=0),
     )
-    return GradedModule(
-        maslov,
-        free,
-        torsion,
-        _diff=diff,
-        _proj=proj,
-        _rho=rho,
-        _Rinv=s1.Rinv,
-        _Lp=s2.L,
-        _free_slots=free_slots,
-        _torsion_slots=torsion_slots,
-    )
+    return GradedModule(free, torsion, _diff=diff, _functionals=functionals)
 
 
 def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:

@@ -10,8 +10,11 @@ graded matrices, whose nonzero entries are single monomials U^a with a
 fixed by a row and a column grading, as every differential and map of a
 graded complex is; it raises ValueError on any other matrix.  It returns
 the diagonal together with the unimodular transforms L, R and their
-inverses, so callers can move vectors between the original and diagonal
-bases in both directions without re-solving anything.
+inverses.  Homology does not use it (homology.eliminate decomposes a
+differential directly); its callers are the small matrices of the cone
+extractors: cone.involutive_vs reads tower gradings off Linv of the 2x2
+Q-matrix, and cone.brute_force_vs decides image membership with solve,
+which reads L and R.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Graded homology over F2[U] and the classical knot outputs.
 
-Small decompositions are checked against hand values; random staircases
-exercise the representative and coordinate machinery (reps are cycles,
-coordinates of a rep form a unit vector, torsion reps die at their
-order).  sparse_homology, which cancels unit arrows before its Smith
-normal forms, is checked against the two dense passes on the whole
-matrix, and its entry points cone_homology and homology_over_U against
-the dense front door graded_homology, over the worked examples and the
-pretzel cones.  The bigraded rank tables for the three small knots are
-the standard published values.
+Small decompositions are checked against hand values, among them a
+torsion pivot U^1 whose elimination fills in a new entry; random
+staircases exercise the representative and coordinate machinery (reps
+are cycles, coordinates of a rep form a unit vector, torsion reps die
+at their order).  sparse_homology, one elimination over all arrows, is
+checked up to isomorphism against a reference made of two Smith normal
+forms on the whole dense matrix (_two_pass_reference), and its entry
+points cone_homology and homology_over_U against the dense front door
+graded_homology, over the worked examples and the pretzel cones.  The
+bigraded rank tables for the three small knots are the standard
+published values.
 """
 
 import functools
@@ -80,6 +82,21 @@ def test_homology_single_torsion():
     assert (h.free, h.torsion) == _two_pass_reference(d, maslov)
     rep = h.torsion[0][2]
     assert h.class_coords(up.mat_vec([[up.mono(2), 0], [0, up.mono(2)]], rep))[1] == [0]
+
+
+def test_homology_torsion_pivot_fills_in():
+    # d(a) = U b + U^2 c: the pivot U^1 from a to b splits off F[U]/U on
+    # b + U c, and row b of the projection gives c the coordinate U of b
+    h = sparse_homology({(1, 0): 1, (2, 0): 2}, [0, 1, 3])
+    assert h.free == [(3, [0, 0, 1])]
+    assert h.torsion == [(1, 1, [0, 1, 0b10])]
+    assert h.class_coords([0, 1, 0]) == ([0b10], [1])
+    # d(x) = U y + U t, d(s) = U y: the pivot from x to y leaves the new
+    # arrow s -> U t, a second F[U]/U, and y = (y + t) + t
+    h = sparse_homology({(2, 0): 1, (3, 0): 1, (2, 1): 1}, [0, 0, 1, 1])
+    assert h.free == []
+    assert h.torsion == [(1, 1, [0, 0, 1, 1]), (1, 1, [0, 0, 0, 1])]
+    assert h.class_coords([0, 0, 1, 0]) == ([], [1, 1])
 
 
 def test_homology_rejects_d_squared():
@@ -233,8 +250,8 @@ def test_homology_logs_cancellation_sizes(caplog):
         (
             "cfku.homology",
             "DEBUG",
-            "homology: 6 generators, 4 after cancellation; SNF rank 1; "
-            "2 towers, 1 torsion summands",
+            "homology: 6 generators, 1 unit arrows cancelled; "
+            "2 towers, 1 torsion summands (max order 1)",
         )
     ]
 
@@ -254,7 +271,8 @@ def test_trefoil_a0_decomposition():
 
 def test_localized_rank():
     # rank over F2[U, U^-1] of the homology of d is n - 2 rank(d)
-    d = subquotient(build_staircase("negative", (1, 2, 1, 1)), "B0minus").matrix()
+    sq = subquotient(build_staircase("negative", (1, 2, 1, 1)), "B0minus")
+    d = _dense(sq.diff, len(sq.basis))
     assert len(d) - 2 * up.smith_normal_form(d).rank == 1
 
 
@@ -335,9 +353,14 @@ def test_alexander_and_genus():
 def test_homology_representatives(sign, steps):
     c = build_staircase(sign, steps)
     sq = subquotient(c, "A0minus")
-    d = sq.matrix()
+    d = _dense(sq.diff, len(sq.basis))
     h = homology_over_U(sq)
     assert len(h.free) == 1  # knot-like: one tower
+    free, torsion = _two_pass_reference(d, sq.maslov)
+    assert sorted(g for g, _ in h.free) == sorted(g for g, _ in free)
+    assert sorted((g, k) for g, k, _ in h.torsion) == sorted(
+        (g, k) for g, k, _ in torsion
+    )
     for g, rep in h.free:
         assert not any(up.mat_vec(d, rep))  # cycle
         assert vector_grading(rep, sq.maslov) == g

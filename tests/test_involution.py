@@ -23,6 +23,7 @@ from cfku.complexes import (
     relabel,
     right_trefoil_complex,
     sarkar,
+    unknot_complex,
 )
 from cfku.involution import (
     Involution,
@@ -35,6 +36,7 @@ from cfku.involution import (
     standard_staircase_involution,
     validate_involution,
 )
+from cfku.pretzel import PretzelParams, full_complex, model_complex
 
 
 def trefoil_staircase(left=False):
@@ -169,6 +171,28 @@ def test_dual_c1_formulas():
     assert set(img) == {"z1_2", "c"}
 
 
+def test_sarkar_of_dual_is_transpose():
+    # dual_involution builds a second sarkar on the dual complex; it is
+    # the transpose of the primal one on the worked examples, every model
+    # complex with m <= 41 and every full complex with m <= 21
+    cases = [
+        right_trefoil_complex(),
+        left_trefoil_complex(),
+        figure_eight_complex(),
+        unknot_complex(),
+    ]
+    for m in range(3, 42, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            cases.append(model_complex(params))
+            if m <= 21:
+                cases.append(full_complex(params))
+    assert len(cases) == 4 + 210 + 55
+    for c in cases:
+        transpose = {(s, t): a for (t, s), a in sarkar(c).matrix.items()}
+        assert sarkar(dualize(c)).matrix == transpose
+
+
 def test_figure_eight_involution():
     c = figure_eight_complex()
     iota = figure_eight_involution(c)
@@ -178,8 +202,6 @@ def test_figure_eight_involution():
 
 
 def test_identity_involution_unknot():
-    from cfku.complexes import unknot_complex
-
     c = unknot_complex()
     assert validate_involution(identity_involution(c)) == []
 
