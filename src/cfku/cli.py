@@ -42,6 +42,7 @@ USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 IO_ERROR = 3
 INTERNAL_ERROR = 4
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _usage_error(parser: argparse.ArgumentParser, command: str, message: str):
@@ -69,10 +70,32 @@ def _emit(text: str, out: str | None) -> None:
         sys.exit(IO_ERROR)
 
 
+def _diagnostic_lines(diagnostics: dict) -> list[str]:
+    lines = [
+        "    expected (V0, lower V0, upper V0) = (%d, %d, %d)" % tuple(diagnostics["expected"]),
+        "    computed (V0, lower V0, upper V0) = (%d, %d, %d)" % tuple(diagnostics["computed"]),
+    ]
+    hfk = diagnostics.get("hfk")
+    if hfk:
+        lines.append(
+            "    first hfk difference at (alexander, maslov) = (%d, %d): "
+            "expected rank %d, computed %d"
+            % (hfk["alexander"], hfk["maslov"], hfk["expected"], hfk["computed"])
+        )
+    alex = diagnostics.get("alexander")
+    if alex:
+        lines.append(
+            "    first Alexander difference at t^%d: expected %d, computed %d"
+            % (alex["exponent"], alex["expected"], alex["computed"])
+        )
+    return lines
+
+
 def cmd_invariants(parser, args) -> int:
     params = _params_or_exit(parser, args.m, args.n)
     report = report_dict(args.m, args.n, args.mirror, deep=not args.fast)
     expected = theorem_values(params, args.mirror)
+    ok = all(report["checks"].values())
     if args.format == "json":
         _emit(render.to_json_text(report), args.out)
     else:
@@ -81,12 +104,11 @@ def cmd_invariants(parser, args) -> int:
             "  closed form: V0 = %d, lower V0 = %d, upper V0 = %d"
             % expected.triple
         )
-        lines.append(
-            "  verdict: %s"
-            % ("MATCH" if all(report["checks"].values()) else "MISMATCH")
-        )
+        lines.append("  verdict: %s" % ("MATCH" if ok else "MISMATCH"))
+        if "diagnostics" in report:
+            lines += _diagnostic_lines(report["diagnostics"])
         _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(report["checks"].values()) else MISMATCH_ERROR
+    return 0 if ok else MISMATCH_ERROR
 
 
 def _verify_case(case: tuple[int, int, bool, bool]) -> dict:
@@ -305,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("CFK_LOG", "WARNING").upper())
     parser = build_parser()
+    level = os.environ.get("CFK_LOG", "WARNING")
+    if level.upper() not in LOG_LEVELS:
+        parser.exit(
+            USAGE_ERROR,
+            "%s: error: CFK_LOG must be one of %s, not %r\n"
+            % (parser.prog, ", ".join(LOG_LEVELS), level),
+        )
+    logging.basicConfig(level=level.upper())
     args = parser.parse_args(argv)
     log.info("command %s", args.command)
     handlers = {

@@ -22,16 +22,20 @@ tested against and is what `cfku show --which cone` renders.  Its
 homology, like every homology, comes from the same elimination run over
 all arrows.
 
-Two independent extractors read the cone.  involutive_vs diagonalizes
-the induced Q-action on the free part of the homology.  brute_force_vs
-enumerates homogeneous classes grading by grading and applies the
-definitions literally; it is the oracle the fast path is tested against.
+Two extractors read the cone, independent in how they read it, and share
+its one homology: a ConeComplex is frozen and takes its homology, d^2
+check included, once, on the first call to cone_homology.  involutive_vs
+diagonalizes the induced Q-action on the free part of the homology.
+brute_force_vs enumerates homogeneous classes grading by grading and
+applies the definitions literally; it is the oracle the fast path is
+tested against.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import upoly as up
 from .complexes import (
@@ -110,19 +114,25 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
     return reduced, fmap
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConeComplex:
     """Cone of 1 + iota: basis x_0..x_{n-1}, Qx_0..Qx_{n-1}.
 
     diff and q are exponent maps, one int a per entry meaning U^a, on
     the 2n generators.  q is the Q-action, the index shift x_i -> Qx_i:
-    {(n + i, i): 0}.
+    {(n + i, i): 0}.  The fields are frozen so that the homology, taken
+    once, cannot go stale.
     """
 
     labels: list[str]
     maslov: list[int]
     diff: SparseMap
     q: SparseMap
+
+    @cached_property
+    def homology(self) -> GradedModule:
+        """H of the cone, d^2 check included; stored only if it succeeds."""
+        return sparse_homology(self.diff, self.maslov)
 
 
 def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
@@ -153,7 +163,8 @@ def build_cone(c: FilteredComplex, iota: Involution) -> ConeComplex:
 
 
 def cone_homology(cone: ConeComplex) -> GradedModule:
-    return sparse_homology(cone.diff, cone.maslov)
+    """The cone's homology, shared by every reading of the same cone."""
+    return cone.homology
 
 
 def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list[list[int]]]:

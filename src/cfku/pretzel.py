@@ -362,8 +362,22 @@ def compute_invariants(
     )
 
 
+def _first_difference(expected: dict, computed: dict):
+    """The least key at which the two tables differ, a missing key
+    counting as 0; None if they agree."""
+    for key in sorted(expected.keys() | computed.keys()):
+        if expected.get(key, 0) != computed.get(key, 0):
+            return key
+    return None
+
+
 def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
-    """JSON-ready report with the verification checks."""
+    """JSON-ready report with the verification checks.
+
+    A report with a failed check also carries "diagnostics": the expected
+    and computed triples and, with deep, the first differing entry of the
+    rank table and of the Alexander polynomial (None where they agree).
+    """
     params = PretzelParams(m, n)
     computed = compute_invariants(params, mirrored)
     expected = theorem_values(params, mirrored)
@@ -374,7 +388,8 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
         table = hfk_hat(full)
         alex = alexander_poly(table)
         want_alex = expected_alexander(params)
-        checks["hfk_match"] = table == expected_hfk(params)
+        want_table = expected_hfk(params)
+        checks["hfk_match"] = table == want_table
         checks["alexander_match"] = (
             alex == want_alex
             and sum(alex.values()) == 1
@@ -384,7 +399,7 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
         checks["count_match"] = (
             len(full.gens) == len(ledger) == 4 + (m - 2) * (n - 2)
         )
-    return {
+    report = {
         "m": m,
         "n": n,
         "mirrored": mirrored,
@@ -400,3 +415,20 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
         "V0_upper": computed.V0_upper,
         "checks": checks,
     }
+    if not all(checks.values()):
+        diagnostics: dict = {
+            "expected": list(expected.triple),
+            "computed": list(computed.triple),
+        }
+        if deep:
+            at = _first_difference(want_table, table)
+            diagnostics["hfk"] = None if at is None else {
+                "alexander": at[0], "maslov": at[1],
+                "expected": want_table.get(at, 0), "computed": table.get(at, 0),
+            }
+            at = _first_difference(want_alex, alex)
+            diagnostics["alexander"] = None if at is None else {
+                "exponent": at, "expected": want_alex.get(at, 0), "computed": alex.get(at, 0),
+            }
+        report["diagnostics"] = diagnostics
+    return report

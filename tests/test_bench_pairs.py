@@ -1,0 +1,58 @@
+"""The summary of tools/bench_pairs.py on hand-made run records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "wall_s", "better": "lower"},
+    {"name": "rate", "better": "higher"},
+]
+
+
+def record(side, seed, wall_s, rate, workload="oracle", trace=0, failed=0):
+    return {
+        "side": side, "workload": workload, "seed": seed, "trace": trace,
+        "failed": failed, "metrics": {"wall_s": wall_s, "rate": rate},
+    }
+
+
+def test_summary_pairs_runs_by_seed():
+    runs = [
+        record("parent", 1, 0.20, 10), record("change", 1, 0.10, 12),
+        record("change", 2, 0.12, 10), record("parent", 2, 0.16, 10),
+        record("parent", 3, 0.18, 9), record("change", 3, 0.18, 8, failed=2),
+        record("parent", 4, 0.30, 10),  # no partner: left out
+        record("parent", 1, 9.0, 0, trace=1),  # traced runs are not summarised
+        record("parent", 5, 1.0, 1, workload="full"),
+        record("change", 5, 2.0, 2, workload="full"),
+        record("parent", 6, 3.0, 3, workload="full"),
+        record("change", 6, 4.0, 4, workload="full"),
+    ]
+    summary = bench_pairs.summarise(runs, END_TO_END)
+    assert list(summary) == ["oracle", "full"]
+    oracle = summary["oracle"]
+    assert oracle["seeds"] == [1, 2, 3] and oracle["pairs"] == 3
+    assert oracle["failed"] == {"parent": 0, "change": 2}
+    wall = oracle["metrics"]["wall_s"]
+    assert wall["parent"] == pytest.approx({"q1": 0.17, "median": 0.18, "q3": 0.19})
+    assert wall["change"] == pytest.approx({"q1": 0.11, "median": 0.12, "q3": 0.15})
+    assert wall["change_wins"] == 2  # the tie at seed 3 counts for neither
+    assert wall["change_vs_parent_median"] == pytest.approx(0.12 / 0.18 - 1)
+    rate = oracle["metrics"]["rate"]
+    assert rate["change_wins"] == 1  # higher is better: only seed 1
+    assert rate["change_vs_parent_median"] == pytest.approx(0.0)
+    full = summary["full"]["metrics"]["wall_s"]
+    assert full["change_wins"] == 0
+    assert full["parent"] == {"q1": 1.5, "median": 2.0, "q3": 2.5}
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("201-204") == [201, 202, 203, 204]
+    assert bench_pairs.parse_seeds("7,3") == [7, 3]

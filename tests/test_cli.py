@@ -93,17 +93,27 @@ def test_process_exit_codes(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
-    def code(*argv):
-        proc = subprocess.run(
+    def proc(*argv, **extra_env):
+        return subprocess.run(
             [sys.executable, "-m", "cfku.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=dict(env, **extra_env), capture_output=True, text=True, timeout=60,
         )
-        return proc.returncode
+
+    def code(*argv):
+        return proc(*argv).returncode
 
     assert code("invariants", "-m", "3", "-n", "3", "--fast") == 0
     assert code("verify", "--m-max", "3", "--jobs", "0") == 2
     missing = tmp_path / "missing" / "r.txt"
     assert code("invariants", "-m", "3", "-n", "3", "--fast", "--out", str(missing)) == 3
+    bad_log = proc("invariants", "-m", "5", "-n", "5", "--fast", CFK_LOG="bogus")
+    assert bad_log.returncode == 2
+    assert bad_log.stdout == ""
+    assert bad_log.stderr == (
+        "cfku: error: CFK_LOG must be one of DEBUG, INFO, WARNING, ERROR, "
+        "CRITICAL, not 'bogus'\n"
+    )
+    assert proc("invariants", "-m", "3", "-n", "3", "--fast", CFK_LOG="info").returncode == 0
 
 
 def test_mismatch_exit_one(monkeypatch, capsys):

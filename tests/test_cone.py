@@ -6,12 +6,14 @@ checked against the brute-force definition-chasing search everywhere it
 is feasible.
 """
 
+import copy
+import dataclasses
 import logging
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfku import upoly as up
+from cfku import cone as cone_module, upoly as up
 from cfku.complexes import (
     _compose,
     ChainMap,
@@ -28,6 +30,7 @@ from cfku.complexes import (
     unknot_complex,
 )
 from cfku.cone import (
+    ConeComplex,
     _assemble_cone,
     brute_force_vs,
     build_cone,
@@ -278,6 +281,68 @@ def test_involutive_vs_precondition():
     one_tower = graded_homology([[0]], [0])
     with pytest.raises(ValueError, match="towers"):
         involutive_vs(cone, one_tower)
+    assert "homology" not in vars(cone)  # an explicit h leaves the memo alone
+
+
+# ---------------------------------------------------------------------------
+# One homology per cone, shared by both readings
+
+
+def _shared_homology_inputs():
+    params = PretzelParams(5, 5)
+    mc = model_complex(params)
+    return [trefoil(), (mc, model_involution_for(params, mc))]
+
+
+def test_both_readings_take_the_homology_once(monkeypatch):
+    sizes = []
+    real = cone_module.sparse_homology
+
+    def counting(diff, maslov):
+        sizes.append(len(maslov))
+        return real(diff, maslov)
+
+    monkeypatch.setattr(cone_module, "sparse_homology", counting)
+    for c, iota in _shared_homology_inputs():
+        cone = build_cone(c, iota)
+        sizes.clear()
+        involutive_vs(cone)
+        brute_force_vs(cone)
+        assert sizes == [len(cone.labels)]
+
+
+def test_readings_agree_in_either_order():
+    for c, iota in _shared_homology_inputs():
+        first = build_cone(c, iota)
+        fast_first = (involutive_vs(first), brute_force_vs(first))
+        second = build_cone(c, iota)
+        slow_first = (brute_force_vs(second), involutive_vs(second))
+        assert fast_first[0] == fast_first[1] == slow_first[0] == slow_first[1]
+
+
+def test_readings_leave_the_shared_homology_unchanged():
+    for c, iota in _shared_homology_inputs():
+        cone = build_cone(c, iota)
+        before = copy.deepcopy(cone_homology(cone))
+        involutive_vs(cone)
+        brute_force_vs(cone)
+        assert cone_homology(cone) is cone_homology(cone)
+        assert cone_homology(cone) == before
+
+
+def test_cone_is_frozen():
+    cone = build_cone(*trefoil())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cone.diff = {}
+
+
+def test_failed_d_squared_raises_on_every_read():
+    # d(a) = b, d(b) = c, so d^2(a) = c
+    bad = ConeComplex(["a", "b", "c"], [2, 1, 0], {(1, 0): 0, (2, 1): 0}, {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="square to zero"):
+            cone_homology(bad)
+    assert "homology" not in vars(bad)
 
 
 # ---------------------------------------------------------------------------

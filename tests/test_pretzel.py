@@ -6,6 +6,7 @@ computed correction terms together are genuine cross-checks rather than
 the same formula evaluated twice.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -228,3 +229,48 @@ def test_report_dict_shape():
     assert all(rep["checks"].values())
     shallow = report_dict(5, 5, mirrored=True, deep=False)
     assert set(shallow["checks"]) == {"theorem_match"}
+    assert "diagnostics" not in rep and "diagnostics" not in shallow
+
+
+def test_mismatch_diagnostics_name_the_first_difference(monkeypatch, capsys):
+    def one_rank_off(params):
+        table = expected_hfk(params)
+        table[(1, 5)] += 1
+        return table
+
+    monkeypatch.setattr(pretzel, "expected_hfk", one_rank_off)
+    rep = report_dict(5, 5, False, deep=True)
+    assert [name for name, ok in rep["checks"].items() if not ok] == ["hfk_match"]
+    assert rep["diagnostics"] == {
+        "expected": [0, 0, -2],
+        "computed": [0, 0, -2],
+        "hfk": {"alexander": 1, "maslov": 5, "expected": 3, "computed": 2},
+        "alexander": None,
+    }
+    assert cli.main(["invariants", "-m", "5", "-n", "5"]) == cli.MISMATCH_ERROR
+    assert capsys.readouterr().out.split("verdict: MISMATCH\n")[1].splitlines() == [
+        "    expected (V0, lower V0, upper V0) = (0, 0, -2)",
+        "    computed (V0, lower V0, upper V0) = (0, 0, -2)",
+        "    first hfk difference at (alexander, maslov) = (1, 5): "
+        "expected rank 3, computed 2",
+    ]
+
+    def shifted_constant_term(params):
+        poly = expected_alexander(params)
+        poly[0] += 2
+        return poly
+
+    monkeypatch.setattr(pretzel, "expected_alexander", shifted_constant_term)
+    rep = report_dict(5, 5, False, deep=True)
+    assert rep["diagnostics"]["alexander"] == {"exponent": 0, "expected": 5, "computed": 3}
+
+
+def test_shallow_mismatch_diagnostics_hold_the_triples(monkeypatch):
+    real = compute_invariants
+    monkeypatch.setattr(
+        pretzel, "compute_invariants",
+        lambda params, mirrored: dataclasses.replace(real(params, mirrored), V0_upper=7),
+    )
+    rep = report_dict(5, 5, False, deep=False)
+    assert rep["checks"] == {"theorem_match": False}
+    assert rep["diagnostics"] == {"expected": [0, 0, -2], "computed": [0, 0, 7]}
