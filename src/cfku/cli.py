@@ -172,8 +172,7 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_hfk(parser, args) -> int:
-    _params_or_exit(parser, args.m, args.n)
-    table = hfk_hat(full_complex(PretzelParams(args.m, args.n)))
+    table = hfk_hat(full_complex(_params_or_exit(parser, args.m, args.n)))
     if args.format == "json":
         data = [
             {"alexander": w, "maslov": k, "rank": r}

@@ -25,10 +25,12 @@ Conventions used throughout:
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
 Complexes are validated once, where they are built or read: in
-build_staircase and dualize here, in the pretzel constructors, and in
-render.complex_from_json.  subquotient and everything downstream take
-their input as valid; homology.sparse_homology still checks d^2 = 0 on
-every differential it is given.
+build_staircase and direct_sum here, and in render.complex_from_json.
+dualize takes a valid complex and returns its mirror unchecked, since
+the grading law, the filtration law and d^2 = 0 all transpose.
+subquotient and everything downstream take their input as valid;
+homology.sparse_homology still checks d^2 = 0 on every differential it
+is given.
 """
 
 from __future__ import annotations
@@ -303,16 +305,16 @@ def build_lspace_staircase(ws: tuple[int, ...]) -> tuple[FilteredComplex, int]:
 
 
 def dualize(c: FilteredComplex) -> FilteredComplex:
-    """Mirror complex: gradings and positions negate, arrows transpose."""
-    problems = validate(c)
-    if problems:
-        raise ValueError("cannot dualize invalid complex: %s" % problems)
+    """Mirror complex: gradings and positions negate, arrows transpose.
+
+    Generator order and labels are kept; c is taken as valid."""
     gens = [Generator(g.label, -g.maslov, -g.i, -g.j) for g in c.gens]
     diff = {(s, t): a for (t, s), a in c.diff.items()}
     return FilteredComplex(gens, diff)
 
 
 def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
+    """The summed complex, validated; summands may be unchecked boxes."""
     gens = []
     diff = {}
     offset = 0
@@ -322,8 +324,9 @@ def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
             diff[(t + offset, s + offset)] = a
         offset += len(c.gens)
     out = FilteredComplex(gens, diff)
-    if len({g.label for g in gens}) != len(gens):
-        raise ValueError("direct_sum label collision; use distinct suffixes")
+    problems = validate(out)
+    if problems:
+        raise ValueError("direct sum invalid: %s" % problems)
     return out
 
 

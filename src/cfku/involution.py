@@ -4,6 +4,9 @@ An involution is stored as an explicit matrix, never as a rule; the
 validator (chain map, skew filtration, Maslov preservation, iota^2 equal
 to sigma, exact slot transposition) is the sole source of truth, because
 the printed formula lists these maps come from are easy to mistranscribe.
+It runs once, in involution_from_rules.  The involution of a dual complex
+is the transpose of a validated one and is not checked again: every one
+of those laws transposes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .complexes import (
     SparseMap,
     _compose,
     add_term,
+    dualize,
     sarkar,
     validate_chain_map,
 )
@@ -148,18 +152,12 @@ def c1_box_coupling_rules(box_suffix: str = "", prefix: str = "z") -> Rules:
 def model_involution(
     model: str, c: FilteredComplex, box_suffix: str = "", prefix: str = "z"
 ) -> Involution:
-    """iota for the pretzel model complexes C1..C4 and their duals.
+    """iota for the pretzel model complexes C1..C4.
 
     C2-C4 are pure staircases carrying the reflection; C1 couples the
-    reflection with its main-diagonal box.  Dual models transpose the
-    primal matrix (the involution of the dual complex is the dual map).
+    reflection with its main-diagonal box.  The involution of a dual
+    model is dual_involution of the primal one.
     """
-    if model.startswith("dual"):
-        from .complexes import dualize
-
-        primal = dualize(c)  # dual of the dual is the primal
-        iota = model_involution(model[4:], primal, box_suffix, prefix)
-        return dual_involution(iota, c)
     if model not in ("C1", "C2", "C3", "C4"):
         raise ValueError("unknown model %r" % model)
     if model == "C1":
@@ -185,25 +183,21 @@ def staircase_reflection_rules_without_z0(
 
 
 def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
-    """Transpose of iota, acting on the dual complex.
+    """Transpose of iota, acting on dual_c, which must be dualize of its complex.
 
-    The generators of dual_c carry the same labels as the primal ones, so
-    the matrix just swaps (target, source) with unchanged U-powers.
+    dualize keeps generator order, so the matrices transpose slot for slot.
+    Each law validate_involution checks transposes, and the transpose of
+    sarkar(c) is sarkar(dualize(c)), so the result is valid without a
+    second check.
     """
-    primal = iota.map.source
-    slot = dual_c.indices()
-    matrix = {}
-    for (t, s), a in iota.map.matrix.items():
-        ds = slot[primal.gens[t].label]
-        dt = slot[primal.gens[s].label]
-        matrix[(dt, ds)] = a
-    out = Involution(
-        ChainMap(dual_c, dual_c, matrix, "skew-filtered", 0), sarkar(dual_c)
-    )
-    problems = validate_involution(out)
-    if problems:
-        raise ValueError("dual involution invalid: %s" % problems)
-    return out
+    if dual_c != dualize(iota.map.source):
+        raise ValueError("dual_involution needs the dual of the involution's complex")
+
+    def transpose(f: ChainMap) -> ChainMap:
+        matrix = {(s, t): a for (t, s), a in f.matrix.items()}
+        return ChainMap(dual_c, dual_c, matrix, f.filtration_kind, f.maslov_shift)
+
+    return Involution(transpose(iota.map), transpose(iota.sigma))
 
 
 def figure_eight_involution(c: FilteredComplex) -> Involution:

@@ -19,7 +19,6 @@ from .complexes import (
     direct_sum,
     dualize,
     staircase_n_of_k,
-    validate,
 )
 from .cone import involutive_invariants
 from .homology import alexander_poly, genus_detect, hfk_hat
@@ -176,11 +175,7 @@ def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
                 parts.append(
                     build_box((cj, ci), a_maslov=ma, suffix="_m%d_%d" % (s, t))
                 )
-    c = direct_sum(parts)
-    problems = validate(c)
-    if problems:
-        raise ValueError("assembled pretzel complex invalid: %s" % problems)
-    return c
+    return direct_sum(parts)
 
 
 def box_multiplicities(params: PretzelParams) -> dict[int, int]:
@@ -215,11 +210,7 @@ def model_complex(params: PretzelParams) -> FilteredComplex:
     parts = [build_staircase("negative", params.steps)]
     if spec.main_diag_boxes:
         parts.append(build_box((-1, -1), a_maslov=params.g - 1))
-    c = direct_sum(parts)
-    problems = validate(c)
-    if problems:
-        raise ValueError("model complex invalid: %s" % problems)
-    return c
+    return direct_sum(parts)
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:

@@ -103,6 +103,19 @@ def test_direct_sum_collision():
         direct_sum([build_box((0, 0)), build_box((1, 1))])
 
 
+def test_direct_sum_validates():
+    bad = FilteredComplex(
+        [Generator("x", 0, 0, 0), Generator("y", 0, 0, 0)],
+        {(1, 0): 0},
+    )
+    with pytest.raises(ValueError, match="grading law"):
+        direct_sum([build_box((0, 0)), bad])
+
+
+def test_figure_eight_validates():
+    assert validate(figure_eight_complex()) == []
+
+
 def test_dual_of_dual():
     c = figure_eight_complex()
     dd = dualize(dualize(c))

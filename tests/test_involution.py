@@ -36,7 +36,13 @@ from cfku.involution import (
     standard_staircase_involution,
     validate_involution,
 )
-from cfku.pretzel import PretzelParams, full_complex, model_complex
+from cfku.pretzel import (
+    PretzelParams,
+    full_complex,
+    full_involution,
+    model_complex,
+    model_involution_for,
+)
 
 
 def trefoil_staircase(left=False):
@@ -149,9 +155,9 @@ def test_model_involutions_all_families():
         "C4": build_staircase("negative", (1, 2, 1, 1, 1)),
     }
     for name, c in cases.items():
-        assert validate_involution(model_involution(name, c)) == []
-        d = dualize(c)
-        assert validate_involution(model_involution("dual" + name, d)) == []
+        iota = model_involution(name, c)
+        assert validate_involution(iota) == []
+        assert validate_involution(dual_involution(iota, dualize(c))) == []
     with pytest.raises(ValueError):
         model_involution("C9", cases["C2"])
 
@@ -172,9 +178,9 @@ def test_dual_c1_formulas():
 
 
 def test_sarkar_of_dual_is_transpose():
-    # dual_involution builds a second sarkar on the dual complex; it is
-    # the transpose of the primal one on the worked examples, every model
-    # complex with m <= 41 and every full complex with m <= 21
+    # why dual_involution may return the transpose of sigma as the Sarkar
+    # map of the dual: it is sarkar(dualize(c)) on the worked examples,
+    # every model complex with m <= 41 and every full complex with m <= 21
     cases = [
         right_trefoil_complex(),
         left_trefoil_complex(),
@@ -191,6 +197,40 @@ def test_sarkar_of_dual_is_transpose():
     for c in cases:
         transpose = {(s, t): a for (t, s), a in sarkar(c).matrix.items()}
         assert sarkar(dualize(c)).matrix == transpose
+
+
+def test_dual_involution_validates_on_every_answer_path_case():
+    # dual_involution transposes without a second sarkar or
+    # validate_involution; these are those checks, on every mirrored case
+    # of the theorem sweep and the verify command: the worked examples and
+    # the model and full complexes of every odd pair with m <= 41
+    cases = []
+    for left in (False, True):
+        c = trefoil_staircase(left)
+        cases.append((c, standard_staircase_involution(c)))
+    fe = figure_eight_complex()
+    cases.append((fe, figure_eight_involution(fe)))
+    u = unknot_complex()
+    cases.append((u, identity_involution(u)))
+    for m in range(3, 42, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            c = model_complex(params)
+            cases.append((c, model_involution_for(params, c)))
+            c = full_complex(params)
+            cases.append((c, full_involution(params, c)))
+    assert len(cases) == 4 + 2 * 210
+    for c, iota in cases:
+        d = dualize(c)
+        di = dual_involution(iota, d)
+        assert di.sigma.matrix == sarkar(d).matrix
+        assert validate_involution(di) == []
+
+
+def test_dual_involution_rejects_other_complex():
+    c = trefoil_staircase(left=True)
+    with pytest.raises(ValueError):
+        dual_involution(standard_staircase_involution(c), c)
 
 
 def test_figure_eight_involution():
