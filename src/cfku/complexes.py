@@ -10,7 +10,8 @@ Every sparse map here (differential, chain map, subquotient
 differential) stores an entry as the one exponent a of U^a: the grading
 law fixes a for each pair of generators, so an entry of a graded map is
 never a sum of two powers.  Sums over F2 go through add_term, which
-cancels equal powers and rejects two different ones as not graded.
+cancels equal powers and rejects two different ones as not graded;
+add_shifted adds a whole column U^shift col by the same rule.
 
 Conventions used throughout:
 
@@ -26,6 +27,8 @@ Conventions used throughout:
 
 Complexes are validated once, where they are built or read: in
 build_staircase and direct_sum here, and in render.complex_from_json.
+A C2-C4 model complex is its staircase, so build_staircase's check is
+its only one.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;
@@ -36,15 +39,14 @@ is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 # (target index, source index) -> a, for the entry U^a
 SparseMap = dict[tuple[int, int], int]
 Key = TypeVar("Key")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     label: str
     maslov: int
     i: int
@@ -114,6 +116,9 @@ class SubquotientComplex:
 # Validation
 
 
+_NOT_GRADED = "entry %r sums U^%d and U^%d: map is not graded"
+
+
 def add_term(m: dict[Key, int], key: Key, a: int) -> None:
     """Add U^a to entry key over F2; a second, different power is an error.
 
@@ -122,18 +127,35 @@ def add_term(m: dict[Key, int], key: Key, a: int) -> None:
     if b is None:
         m[key] = a
     elif b != a:
-        raise ValueError("entry %r sums U^%d and U^%d: map is not graded" % (key, b, a))
+        raise ValueError(_NOT_GRADED % (key, b, a))
+
+
+def add_shifted(m: dict[Key, int], col: dict[Key, int], shift: int) -> None:
+    """Add U^shift col to m over F2, entry by entry as add_term does."""
+    for key, e in col.items():
+        a = e + shift
+        b = m.pop(key, None)
+        if b is None:
+            m[key] = a
+        elif b != a:
+            raise ValueError(_NOT_GRADED % (key, b, a))
 
 
 def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
-    """Sparse product a after b of graded maps."""
+    """Sparse product a after b of graded maps, summed as add_term does."""
     by_source: dict[int, list[tuple[int, int]]] = {}
     for (t, s), e in a.items():
         by_source.setdefault(s, []).append((t, e))
     out: SparseMap = {}
     for (mid, s), e in b.items():
         for t, e2 in by_source.get(mid, ()):
-            add_term(out, (t, s), e2 + e)
+            key = (t, s)
+            x = e2 + e
+            y = out.pop(key, None)
+            if y is None:
+                out[key] = x
+            elif y != x:
+                raise ValueError(_NOT_GRADED % (key, y, x))
     return out
 
 
@@ -381,18 +403,17 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
 # Directional components, Phi/Psi and the Sarkar map
 
 
-def _components(c: FilteredComplex, keep) -> SparseMap:
-    """The arrows whose (i, j) drops satisfy keep."""
-    return {
-        (t, s): a
-        for (t, s), a in c.diff.items()
-        if keep(c.gens[s].i - c.gens[t].i + a, c.gens[s].j - c.gens[t].j + a)
-    }
-
-
 def phi_psi(c: FilteredComplex) -> tuple[ChainMap, ChainMap]:
-    phi = _components(c, lambda idrop, jdrop: idrop % 2 == 1)
-    psi = _components(c, lambda idrop, jdrop: jdrop % 2 == 1)
+    """Phi keeps the arrows of odd i-drop, Psi those of odd j-drop."""
+    gens = c.gens
+    phi: SparseMap = {}
+    psi: SparseMap = {}
+    for (t, s), a in c.diff.items():
+        gs, gt = gens[s], gens[t]
+        if (gs.i - gt.i + a) % 2:
+            phi[(t, s)] = a
+        if (gs.j - gt.j + a) % 2:
+            psi[(t, s)] = a
     return (
         ChainMap(c, c, phi, "filtered", maslov_shift=-1),
         ChainMap(c, c, psi, "filtered", maslov_shift=-1),
@@ -403,8 +424,7 @@ def sarkar(c: FilteredComplex) -> ChainMap:
     """The map Id + U^-1 Phi Psi; a filtered chain map of shift 0."""
     phi, psi = phi_psi(c)
     matrix = {(k, k): 0 for k in range(len(c.gens))}
-    for key, a in _compose(phi.matrix, psi.matrix).items():
-        add_term(matrix, key, a - 1)
+    add_shifted(matrix, _compose(phi.matrix, psi.matrix), -1)
     return ChainMap(c, c, matrix, "filtered", maslov_shift=0)
 
 

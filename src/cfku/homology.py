@@ -38,7 +38,7 @@ from .complexes import (
     SparseMap,
     SubquotientComplex,
     _compose,
-    add_term,
+    add_shifted,
     subquotient,
 )
 
@@ -94,32 +94,37 @@ def eliminate(
     original), and one (y, a, rep, functional) per pivot with a > 0, the
     summand F[U]/U^a on y' with representative I y' and coordinate
     functional row y of P, both {original: exponent}, as they stand at the
-    pivot.  Sums go through add_term, so an ungraded differential raises
-    ValueError.  Without units_only no arrow survives, and the kept
-    generators are the towers.
+    pivot.  Column k of I and row k of P are stored only once a pivot
+    first touches k; until then they are the identity entry {k: 0}.
+    Sums go through complexes.add_shifted, so an ungraded differential
+    raises ValueError.  Without units_only no arrow survives, and the
+    kept generators are the towers.
     """
     cols: defaultdict[int, dict[int, int]] = defaultdict(dict)  # s -> {t: a}
     rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # t -> {s: a}
     for (t, s), a in diff.items():
         cols[s][t] = rows[t][s] = a
-    inc = {k: {k: 0} for k in range(n)}  # column k of I: {original: a}
-    proj = {k: {k: 0} for k in range(n)}  # row k of P: {original: a}
+    inc: dict[int, dict[int, int]] = {}  # column k of I: {original: a}
+    proj: dict[int, dict[int, int]] = {}  # row k of P: {original: a}
+    gone: set[int] = set()  # eliminated indices
     torsion: list[Summand] = []
     heap = [(a, s, t) for (t, s), a in diff.items() if a == 0 or not units_only]
     heapq.heapify(heap)
     while heap:
         c, x, y = heapq.heappop(heap)
-        if x not in inc or cols[x].get(y) != c:
+        if x in gone or cols[x].get(y) != c:
             continue  # eliminated or changed since it was queued
-        dcol = [(t, a - c) for t, a in cols[x].items() if t not in (x, y)]
-        drow = [(s, b - c) for s, b in rows[y].items() if s not in (x, y)]
-        icol, iy, prow = inc.pop(x), inc.pop(y), proj.pop(y)
-        del proj[x]
+        gone.update((x, y))
+        dcol = {t: a - c for t, a in cols[x].items() if t != x and t != y}
+        drow = [(s, b - c) for s, b in rows[y].items() if s != x and s != y]
+        icol = inc.pop(x, None) or {x: 0}
+        iy = inc.pop(y, None) or {y: 0}
+        prow = proj.pop(y, None) or {y: 0}
+        proj.pop(x, None)
         if c:
             rep = dict(iy)
-            for t, a in dcol:
-                for o, e in inc[t].items():
-                    add_term(rep, o, e + a)
+            for t, a in dcol.items():
+                add_shifted(rep, inc.get(t) or {t: 0}, a)
             torsion.append((y, c, rep, prow))
         for k in (x, y):
             for t in cols.pop(k, {}):
@@ -128,25 +133,24 @@ def eliminate(
                 del cols[s][k]
         for s, b in drow:
             col = cols[s]
-            for t, a in dcol:
-                add_term(col, t, a + b + c)
-                if t in col:
-                    rows[t][s] = col[t]
-                    if col[t] == 0 or not units_only:
-                        heapq.heappush(heap, (col[t], s, t))
-                else:
+            add_shifted(col, dcol, b + c)
+            for t in dcol:
+                e = col.get(t)
+                if e is None:
                     del rows[t][s]
-            for o, e in icol.items():
-                add_term(inc[s], o, e + b)
-        for t, a in dcol:
-            for o, e in prow.items():
-                add_term(proj[t], o, e + a)
+                else:
+                    rows[t][s] = e
+                    if e == 0 or not units_only:
+                        heapq.heappush(heap, (e, s, t))
+            add_shifted(inc.setdefault(s, {s: 0}), icol, b)
+        for t, a in dcol.items():
+            add_shifted(proj.setdefault(t, {t: 0}), prow, a)
 
-    keep = sorted(inc)
+    keep = [k for k in range(n) if k not in gone]
     slot = {k: r for r, k in enumerate(keep)}
     reduced = {(slot[t], slot[s]): a for s in keep for t, a in cols[s].items()}
-    i_map = {(o, slot[k]): e for k in keep for o, e in inc[k].items()}
-    p_map = {(slot[k], o): e for k in keep for o, e in proj[k].items()}
+    i_map = {(o, slot[k]): e for k in keep for o, e in inc.get(k, {k: 0}).items()}
+    p_map = {(slot[k], o): e for k in keep for o, e in proj.get(k, {k: 0}).items()}
     return keep, reduced, i_map, p_map, torsion
 
 

@@ -20,7 +20,6 @@ from .complexes import (
     SparseMap,
     _compose,
     add_term,
-    dualize,
     sarkar,
     validate_chain_map,
 )
@@ -171,14 +170,14 @@ def model_involution(
 def staircase_reflection_rules_without_z0(
     c: FilteredComplex, prefix: str = "z"
 ) -> Rules:
-    labels = {g.label for g in c.gens}
+    """z_r^1 and z_r^2 swap, for r = 1, 2, ... while z_r^1 is in c."""
+    slot = c.indices()
     rules: Rules = {}
-    pat = re.compile(r"^%s(\d+)_([12])$" % re.escape(prefix))
-    for label in labels:
-        m = pat.match(label)
-        if m:
-            other = "%s%s_%d" % (prefix, m.group(1), 3 - int(m.group(2)))
-            rules[label] = [(other, 0)]
+    r = 1
+    while "%s%d_1" % (prefix, r) in slot:
+        one, two = "%s%d_1" % (prefix, r), "%s%d_2" % (prefix, r)
+        rules[one], rules[two] = [(two, 0)], [(one, 0)]
+        r += 1
     return rules
 
 
@@ -188,9 +187,16 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     dualize keeps generator order, so the matrices transpose slot for slot.
     Each law validate_involution checks transposes, and the transpose of
     sarkar(c) is sarkar(dualize(c)), so the result is valid without a
-    second check.
+    second check.  The guard is the test dual_c == dualize(c), made
+    field by field and arrow by arrow against c without building a dual.
     """
-    if dual_c != dualize(iota.map.source):
+    c = iota.map.source
+    if (
+        len(dual_c.gens) != len(c.gens)
+        or len(dual_c.diff) != len(c.diff)
+        or any(d != (g.label, -g.maslov, -g.i, -g.j) for d, g in zip(dual_c.gens, c.gens))
+        or any(c.diff.get((s, t)) != a for (t, s), a in dual_c.diff.items())
+    ):
         raise ValueError("dual_involution needs the dual of the involution's complex")
 
     def transpose(f: ChainMap) -> ChainMap:

@@ -205,12 +205,12 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
 
 
 def model_complex(params: PretzelParams) -> FilteredComplex:
-    """Staircase plus the single unpaired main-diagonal box (family C1)."""
+    """The staircase; for family C1, summed with the unpaired main-diagonal box."""
     spec = classify(params)
-    parts = [build_staircase("negative", params.steps)]
-    if spec.main_diag_boxes:
-        parts.append(build_box((-1, -1), a_maslov=params.g - 1))
-    return direct_sum(parts)
+    staircase = build_staircase("negative", params.steps)
+    if not spec.main_diag_boxes:
+        return staircase
+    return direct_sum([staircase, build_box((-1, -1), a_maslov=params.g - 1)])
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:

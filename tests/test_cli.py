@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from cfku import cli, render
-from cfku.complexes import figure_eight_complex
+from cfku.complexes import (
+    figure_eight_complex,
+    left_trefoil_complex,
+    right_trefoil_complex,
+    unknot_complex,
+)
 from cfku.pretzel import PretzelParams, full_complex, report_dict
 from cfku.homology import hfk_hat
 
@@ -218,10 +223,16 @@ def test_examples(capsys):
 
 
 def test_complex_json_round_trip():
+    for c in (
+        unknot_complex(),
+        right_trefoil_complex(),
+        left_trefoil_complex(),
+        figure_eight_complex(),
+        full_complex(PretzelParams(7, 5)),
+    ):
+        assert render.complex_from_json(render.complex_to_json(c)) == c
     c = figure_eight_complex()
     d = render.complex_to_json(c)
-    c2 = render.complex_from_json(d)
-    assert c2.gens == c.gens and c2.diff == c.diff
     # text form parses back to the same document
     assert json.loads(render.to_json_text(d)) == d
     # an arrow between two grading-0 generators breaks the grading law

@@ -17,6 +17,7 @@ from cfku import upoly as up
 from cfku.complexes import (
     FilteredComplex,
     Generator,
+    add_shifted,
     build_box,
     build_lspace_staircase,
     build_staircase,
@@ -96,6 +97,26 @@ def test_box_acyclic():
     sq = subquotient(box, "B0minus")
     m = _dense(sq.diff, len(sq.basis))
     assert len(m) - 2 * up.smith_normal_form(m).rank == 0
+
+
+def test_generator_is_an_immutable_value():
+    g = Generator("x", 3, 1, -2)
+    for name in ("label", "maslov", "i", "j"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+    same = Generator("x", 3, 1, -2)
+    assert g == same and hash(g) == hash(same)
+    assert len({g, same}) == 1
+    assert g != Generator("x", 3, -2, 1)
+    assert g.plane == (1, -2)
+
+
+def test_add_shifted():
+    m = {"a": 2, "b": 0}
+    add_shifted(m, {"a": 1, "c": 0}, 1)
+    assert m == {"b": 0, "c": 1}
+    with pytest.raises(ValueError, match="not graded"):
+        add_shifted(m, {"c": 0}, 3)
 
 
 def test_direct_sum_collision():

@@ -34,6 +34,7 @@ from cfku.cone import build_cone, cone_homology
 from cfku.homology import (
     _f2_rank,
     alexander_poly,
+    eliminate,
     genus_detect,
     graded_homology,
     hfk_hat,
@@ -97,6 +98,30 @@ def test_homology_torsion_pivot_fills_in():
     assert h.free == []
     assert h.torsion == [(1, 1, [0, 0, 1, 1]), (1, 1, [0, 0, 0, 1])]
     assert h.class_coords([0, 0, 1, 0]) == ([], [1, 1])
+
+
+def test_eliminate_exact_outputs():
+    # d(g0) = g1 + g5, d(g2) = U g3 + U g1, and g4 alone; gradings
+    # 1, 0, -1, 0, 0, 0.  The unit pivot g0 -> g1 turns g2 -> U g1 into
+    # g2 -> U g5, with I g2' = g2 + U g0 and P g5 = g5 + g1.  The full
+    # elimination then pivots on g2 -> U g3 and splits off F[U]/U on
+    # g3 + g5; g4 and g5 are the towers.  No pivot touches g4, so its
+    # column of I and row of P are the identity entry.
+    d = {(1, 0): 0, (5, 0): 0, (3, 2): 1, (1, 2): 1}
+    assert eliminate(d, 6, units_only=True) == (
+        [2, 3, 4, 5],
+        {(1, 0): 1, (3, 0): 1},
+        {(2, 0): 0, (0, 0): 1, (3, 1): 0, (4, 2): 0, (5, 3): 0},
+        {(0, 2): 0, (1, 3): 0, (2, 4): 0, (3, 5): 0, (3, 1): 0},
+        [],
+    )
+    keep, reduced, inc, proj, torsion = eliminate(d, 6, units_only=False)
+    assert (keep, reduced) == ([4, 5], {})
+    assert inc == {(4, 0): 0, (5, 1): 0}
+    assert proj == {(0, 4): 0, (1, 5): 0, (1, 1): 0, (1, 3): 0}
+    assert torsion == [(3, 1, {3: 0, 5: 0}, {3: 0})]
+    assert [(o, e) for (o, k), e in inc.items() if k == keep.index(4)] == [(4, 0)]
+    assert [(o, e) for (k, o), e in proj.items() if k == keep.index(4)] == [(4, 0)]
 
 
 def test_homology_rejects_d_squared():

@@ -12,6 +12,7 @@ import pytest
 from cfku import upoly as up
 from cfku.complexes import (
     ChainMap,
+    FilteredComplex,
     _compose,
     add_term,
     build_box,
@@ -227,10 +228,53 @@ def test_dual_involution_validates_on_every_answer_path_case():
         assert validate_involution(di) == []
 
 
+def _one_field_changes(d):
+    """Copies of the complex d that each differ from it in one respect."""
+
+    def with_gen(k, **change):
+        gens = list(d.gens)
+        gens[k] = gens[k]._replace(**change)
+        return FilteredComplex(gens, dict(d.diff))
+
+    def with_diff(diff):
+        return FilteredComplex(list(d.gens), diff)
+
+    g = d.gens[1]
+    (t, s), a = next(iter(d.diff.items()))
+    assert (s, t) not in d.diff
+    swapped = list(d.gens)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    return [
+        with_gen(1, label=g.label + "'"),
+        with_gen(1, maslov=g.maslov + 2),
+        with_gen(1, i=g.i + 1),
+        with_gen(1, j=g.j - 1),
+        with_diff({**d.diff, (t, s): a + 1}),
+        with_diff({**d.diff, (s, t): a}),
+        with_diff({k: e for k, e in d.diff.items() if k != (t, s)}),
+        FilteredComplex(swapped, dict(d.diff)),
+        FilteredComplex(d.gens[:-1], dict(d.diff)),
+    ]
+
+
 def test_dual_involution_rejects_other_complex():
     c = trefoil_staircase(left=True)
     with pytest.raises(ValueError):
         dual_involution(standard_staircase_involution(c), c)
+    # the guard is dual_c == dualize(c): every one-field change of the
+    # dual of a full complex fails it, and the dual itself passes
+    params = PretzelParams(5, 5)
+    c = full_complex(params)
+    iota = full_involution(params, c)
+    d = dualize(c)
+    di = dual_involution(iota, FilteredComplex(list(d.gens), dict(d.diff)))
+    assert di.map.matrix == {(s, t): a for (t, s), a in iota.map.matrix.items()}
+    changes = _one_field_changes(d)
+    assert len(changes) == 9
+    for other in changes:
+        assert other != d
+        with pytest.raises(ValueError, match="needs the dual"):
+            dual_involution(iota, other)
 
 
 def test_figure_eight_involution():
