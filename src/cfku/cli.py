@@ -12,10 +12,8 @@ from concurrent.futures import ProcessPoolExecutor
 from . import render
 from .complexes import (
     build_lspace_staircase,
+    build_staircase,
     figure_eight_complex,
-    left_trefoil_complex,
-    relabel,
-    right_trefoil_complex,
     subquotient,
     unknot_complex,
 )
@@ -242,13 +240,8 @@ def cmd_show(parser, args) -> int:
 
 
 def _example(name: str, ws: list[int]):
-    if name == "trefoil":
-        c = right_trefoil_complex()
-        relabel(c, {"a": "z0", "b": "z1_1", "c": "z1_2"})
-        return c, standard_staircase_involution(c)
-    if name == "left-trefoil":
-        c = left_trefoil_complex()
-        relabel(c, {"a": "z0", "b": "z1_1", "c": "z1_2"})
+    if name in ("trefoil", "left-trefoil"):
+        c = build_staircase("positive" if name == "trefoil" else "negative", (1,))
         return c, standard_staircase_involution(c)
     if name == "figure-eight":
         c = figure_eight_complex()
@@ -274,7 +267,7 @@ def cmd_examples(parser, args) -> int:
     triple = involutive_invariants(c, iota)
     lines = [render.generator_table(c).rstrip("\n")]
     images: dict[int, list[str]] = {}
-    for (t, s), a in sorted(iota.map.matrix.items()):
+    for (t, s), a in sorted(iota.matrix.items()):
         images.setdefault(s, []).append(("U^%d " % a if a else "") + c.gens[t].label)
     for s in sorted(images):
         lines.append("iota(%s) = %s" % (c.gens[s].label, " + ".join(images[s])))

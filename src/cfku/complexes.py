@@ -6,12 +6,15 @@ differential whose entries are powers of U.  The U-action translates a
 generator down the diagonal, so a finite basis presents the whole
 infinitely generated complex.
 
-Every sparse map here (differential, chain map, subquotient
-differential) stores an entry as the one exponent a of U^a: the grading
-law fixes a for each pair of generators, so an entry of a graded map is
-never a sum of two powers.  Sums over F2 go through add_term, which
-cancels equal powers and rejects two different ones as not graded;
-add_shifted adds a whole column U^shift col by the same rule.
+Every sparse map (a differential, Phi, Psi, the Sarkar map, an
+involution's matrix, a subquotient differential) stores an entry as the
+one exponent a of U^a: the grading law fixes a for each pair of
+generators, so an entry of a graded map is never a sum of two powers.
+Sums over F2 go through add_term, which cancels equal powers and rejects
+two different ones as not graded; add_shifted adds a whole column
+U^shift col by the same rule.  Phi, Psi and the Sarkar map are plain
+SparseMaps on their complex; an involution is one more, held with its
+complex in involution.Involution.
 
 Conventions used throughout:
 
@@ -73,15 +76,6 @@ class FilteredComplex:
         """label -> index, for many lookups.  Built on each call, since
         relabel changes gens in place."""
         return {g.label: k for k, g in enumerate(self.gens)}
-
-
-@dataclass
-class ChainMap:
-    source: FilteredComplex
-    target: FilteredComplex
-    matrix: SparseMap
-    filtration_kind: str  # "filtered" or "skew-filtered"
-    maslov_shift: int = 0
 
 
 @dataclass
@@ -162,46 +156,25 @@ def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
 def validate(c: FilteredComplex) -> list[str]:
     """All violated structural invariants; empty list means ok."""
     problems = []
-    labels = [g.label for g in c.gens]
+    gens = c.gens
+    labels = [label for label, _m, _i, _j in gens]
     if len(set(labels)) != len(labels):
         problems.append("duplicate generator labels")
     for (t, s), a in c.diff.items():
-        gs, gt = c.gens[s], c.gens[t]
-        if gt.maslov - 2 * a != gs.maslov - 1:
+        s_label, s_maslov, si, sj = gens[s]
+        t_label, t_maslov, ti, tj = gens[t]
+        if t_maslov - 2 * a != s_maslov - 1:
             problems.append(
-                "grading law broken on U^%d %s in d(%s)" % (a, gt.label, gs.label)
+                "grading law broken on U^%d %s in d(%s)" % (a, t_label, s_label)
             )
-        if not (gt.i - a <= gs.i and gt.j - a <= gs.j):
+        if not (ti - a <= si and tj - a <= sj):
             problems.append(
-                "filtration law broken on U^%d %s in d(%s)" % (a, gt.label, gs.label)
+                "filtration law broken on U^%d %s in d(%s)" % (a, t_label, s_label)
             )
     if problems:
         return problems
     for t, s in _compose(c.diff, c.diff):
-        problems.append(
-            "d^2 != 0: d^2(%s) contains %s" % (c.gens[s].label, c.gens[t].label)
-        )
-    return problems
-
-
-def validate_chain_map(f: ChainMap) -> list[str]:
-    """Entry laws first; the commutation products need a graded map."""
-    problems = []
-    for (t, s), a in f.matrix.items():
-        gs = f.source.gens[s]
-        gt = f.target.gens[t]
-        if gt.maslov - 2 * a != gs.maslov + f.maslov_shift:
-            problems.append(
-                "Maslov shift broken on U^%d %s in f(%s)" % (a, gt.label, gs.label)
-            )
-        si, sj = (gs.i, gs.j) if f.filtration_kind == "filtered" else (gs.j, gs.i)
-        if not (gt.i - a <= si and gt.j - a <= sj):
-            problems.append(
-                "%s law broken on U^%d %s in f(%s)"
-                % (f.filtration_kind, a, gt.label, gs.label)
-            )
-    if not problems and _compose(f.matrix, f.source.diff) != _compose(f.target.diff, f.matrix):
-        problems.append("does not commute with the differentials")
+        problems.append("d^2 != 0: d^2(%s) contains %s" % (labels[s], labels[t]))
     return problems
 
 
@@ -369,16 +342,15 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
     if region == "i0_j_w" and w is None:
         raise ValueError("region i0_j_w needs the diagonal w")
     basis = []
+    maslov = []
     slot = {}
-    for k, g in enumerate(c.gens):
-        if region == "A0minus":
-            k0 = max(g.i, g.j)
-        else:
-            k0 = g.i
-        if region == "i0_j_w" and g.j - g.i != w:
+    for k, (_label, m, i, j) in enumerate(c.gens):
+        if region == "i0_j_w" and j - i != w:
             continue
+        k0 = max(i, j) if region == "A0minus" else i
         slot[k] = len(basis)
         basis.append((k, k0))
+        maslov.append(m - 2 * k0)
 
     diff: SparseMap = {}
     for (t, s), a in c.diff.items():
@@ -395,7 +367,6 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
             # target leaves the i = 0 slice: quotiented away
             continue
         diff[(slot[t], slot[s])] = e
-    maslov = [c.gens[k].maslov - 2 * k0 for k, k0 in basis]
     return SubquotientComplex(c, region, basis, maslov, diff)
 
 
@@ -403,29 +374,29 @@ def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> Subquo
 # Directional components, Phi/Psi and the Sarkar map
 
 
-def phi_psi(c: FilteredComplex) -> tuple[ChainMap, ChainMap]:
-    """Phi keeps the arrows of odd i-drop, Psi those of odd j-drop."""
+def phi_psi(c: FilteredComplex) -> tuple[SparseMap, SparseMap]:
+    """Phi keeps the arrows of odd i-drop, Psi those of odd j-drop.
+
+    Both are filtered chain maps of Maslov shift -1."""
     gens = c.gens
     phi: SparseMap = {}
     psi: SparseMap = {}
     for (t, s), a in c.diff.items():
-        gs, gt = gens[s], gens[t]
-        if (gs.i - gt.i + a) % 2:
+        _ls, _ms, si, sj = gens[s]
+        _lt, _mt, ti, tj = gens[t]
+        if (si - ti + a) % 2:
             phi[(t, s)] = a
-        if (gs.j - gt.j + a) % 2:
+        if (sj - tj + a) % 2:
             psi[(t, s)] = a
-    return (
-        ChainMap(c, c, phi, "filtered", maslov_shift=-1),
-        ChainMap(c, c, psi, "filtered", maslov_shift=-1),
-    )
+    return phi, psi
 
 
-def sarkar(c: FilteredComplex) -> ChainMap:
+def sarkar(c: FilteredComplex) -> SparseMap:
     """The map Id + U^-1 Phi Psi; a filtered chain map of shift 0."""
     phi, psi = phi_psi(c)
     matrix = {(k, k): 0 for k in range(len(c.gens))}
-    add_shifted(matrix, _compose(phi.matrix, psi.matrix), -1)
-    return ChainMap(c, c, matrix, "filtered", maslov_shift=0)
+    add_shifted(matrix, _compose(phi, psi), -1)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

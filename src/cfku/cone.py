@@ -69,14 +69,14 @@ def restrict_to_a0(iota: Involution, a0: SubquotientComplex) -> SparseMap:
     """
     slot = {g: k for k, (g, _k0) in enumerate(a0.basis)}
     out: SparseMap = {}
-    for (t, s), a in iota.map.matrix.items():
+    for (t, s), a in iota.matrix.items():
         if s not in slot or t not in slot:
             raise ValueError("involution leaves the A0- basis")
         e = a0.basis[slot[s]][1] + a - a0.basis[slot[t]][1]
         if e < 0:
             raise ValueError(
                 "iota does not restrict to A0-: U^%d from %s to %s"
-                % (e, iota.map.source.gens[s].label, iota.map.source.gens[t].label)
+                % (e, iota.complex.gens[s].label, iota.complex.gens[t].label)
             )
         out[(slot[t], slot[s])] = e
     return out
@@ -180,14 +180,13 @@ def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list
     return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
 
 
-def involutive_vs(cone: ConeComplex, h: GradedModule | None = None) -> tuple[int, int]:
+def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     """(lower, upper) correction terms from the cone homology.
 
     The homology must have exactly two towers and the Q-action must
     saturate exactly one of them; both conditions are checked.
     """
-    if h is None:
-        h = cone_homology(cone)
+    h = cone_homology(cone)
     if len(h.free) != 2:
         raise ValueError("cone homology has %d towers, expected 2" % len(h.free))
     free_cols, _torsion_cols = _q_coords(cone, h)

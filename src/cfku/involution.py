@@ -1,34 +1,27 @@
 """Skew-filtered involutions squaring to the Sarkar map.
 
-An involution is stored as an explicit matrix, never as a rule; the
-validator (chain map, skew filtration, Maslov preservation, iota^2 equal
-to sigma, exact slot transposition) is the sole source of truth, because
-the printed formula lists these maps come from are easy to mistranscribe.
-It runs once, in involution_from_rules.  The involution of a dual complex
-is the transpose of a validated one and is not checked again: every one
-of those laws transposes.
+An involution is a complex and one explicit matrix iota on it, never a
+rule.  The validator is the sole source of truth, because the printed
+formula lists these maps come from are easy to mistranscribe.  It checks
+the grading law of shift 0 and the exact transposed slot on every entry
+(the slot implies the skew-filtration), iota d = d iota, and iota^2 =
+sarkar(c), the Sarkar map 1 + U^-1 Phi Psi, computed there and not
+stored.  It runs once, in involution_from_rules.  The involution of a
+dual complex is the transpose of a validated one and is not checked
+again: every one of those laws transposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import re
 
-from .complexes import (
-    ChainMap,
-    FilteredComplex,
-    SparseMap,
-    _compose,
-    add_term,
-    sarkar,
-    validate_chain_map,
-)
+from .complexes import FilteredComplex, SparseMap, _compose, add_term, sarkar
 
 
 @dataclass
 class Involution:
-    map: ChainMap
-    sigma: ChainMap
+    complex: FilteredComplex
+    matrix: SparseMap
 
 
 Rules = dict[str, list[tuple[str, int]]]
@@ -51,9 +44,7 @@ def involution_from_rules(c: FilteredComplex, rules: Rules) -> Involution:
     missing = {g.label for g in c.gens} - seen
     if missing:
         raise ValueError("no involution rule for %s" % sorted(missing))
-    iota = Involution(
-        ChainMap(c, c, matrix, "skew-filtered", maslov_shift=0), sarkar(c)
-    )
+    iota = Involution(c, matrix)
     problems = validate_involution(iota)
     if problems:
         raise ValueError("invalid involution: %s" % problems)
@@ -61,50 +52,55 @@ def involution_from_rules(c: FilteredComplex, rules: Rules) -> Involution:
 
 
 def validate_involution(iota: Involution) -> list[str]:
-    problems = validate_chain_map(iota.map)
-    # iota^2 is compared only for a valid chain map, whose products are graded
-    if not problems and _compose(iota.map.matrix, iota.map.matrix) != iota.sigma.matrix:
-        problems.append("iota^2 differs from sigma")
-    if iota.map.maslov_shift != 0:
-        problems.append("Maslov shift is not 0")
-    if iota.map.filtration_kind != "skew-filtered":
-        problems.append("not marked skew-filtered")
-    c = iota.map.source
-    for (t, s), a in iota.map.matrix.items():
-        gs, gt = c.gens[s], c.gens[t]
-        if (gt.i - a, gt.j - a) != (gs.j, gs.i):
+    """All violated laws; empty list means ok.
+
+    The entry laws come first, since the products need a graded map."""
+    c, f = iota.complex, iota.matrix
+    gens = c.gens
+    problems = []
+    for (t, s), a in f.items():
+        s_label, s_maslov, si, sj = gens[s]
+        t_label, t_maslov, ti, tj = gens[t]
+        if t_maslov - 2 * a != s_maslov:
+            problems.append(
+                "grading law broken on U^%d %s in iota(%s)" % (a, t_label, s_label)
+            )
+        if (ti - a, tj - a) != (sj, si):
             problems.append(
                 "term U^%d %s of iota(%s) not in the transposed slot"
-                % (a, gt.label, gs.label)
+                % (a, t_label, s_label)
             )
+    if problems:
+        return problems
+    if _compose(f, c.diff) != _compose(c.diff, f):
+        problems.append("does not commute with the differentials")
+    if _compose(f, f) != sarkar(c):
+        problems.append("iota^2 differs from the Sarkar map")
     return problems
 
 
-def _staircase_labels(c: FilteredComplex, prefix: str) -> int:
-    """The number of steps v if the labels form a staircase, else raise."""
-    pat = re.compile(r"^%s(\d+)(?:_([12]))?$" % re.escape(prefix))
-    v = 0
-    for g in c.gens:
-        m = pat.match(g.label)
-        if not m or (m.group(1) == "0") != (m.group(2) is None):
-            raise ValueError("input not a staircase: generator %r" % g.label)
-        v = max(v, int(m.group(1)))
-    if len(c.gens) != 2 * v + 1:
-        raise ValueError("input not a staircase: %d generators" % len(c.gens))
-    return v
-
-
 def staircase_reflection_rules(c: FilteredComplex, prefix: str = "z") -> Rules:
-    v = _staircase_labels(c, prefix)
-    rules: Rules = {prefix + "0": [(prefix + "0", 0)]}
-    for r in range(1, v + 1):
-        rules["%s%d_1" % (prefix, r)] = [("%s%d_2" % (prefix, r), 0)]
-        rules["%s%d_2" % (prefix, r)] = [("%s%d_1" % (prefix, r), 0)]
-    return rules
+    """Reflection across i = j: z0 is fixed, and z_r^1 and z_r^2 swap for
+    r = 1, 2, ... while both are in c.
+
+    A complex without z0 raises; a generator the walk does not reach is
+    left without a rule, which involution_from_rules rejects.
+    """
+    slot = c.indices()
+    z0 = prefix + "0"
+    if z0 not in slot:
+        raise ValueError("input not a staircase: no generator %r" % z0)
+    rules: Rules = {z0: [(z0, 0)]}
+    r = 1
+    while True:
+        one, two = "%s%d_1" % (prefix, r), "%s%d_2" % (prefix, r)
+        if one not in slot or two not in slot:
+            return rules
+        rules[one], rules[two] = [(two, 0)], [(one, 0)]
+        r += 1
 
 
 def standard_staircase_involution(c: FilteredComplex, prefix: str = "z") -> Involution:
-    """Reflection across i = j: z_r^1 and z_r^2 swap, z0 is fixed."""
     return involution_from_rules(c, staircase_reflection_rules(c, prefix))
 
 
@@ -136,7 +132,10 @@ def square_pair_rules(
 
 
 def c1_box_coupling_rules(box_suffix: str = "", prefix: str = "z") -> Rules:
-    """The coupled staircase/box part of the C1 involution."""
+    """The coupled staircase/box part of the C1 involution.
+
+    Laid over staircase_reflection_rules with update, its z0 rule
+    replaces the reflection's."""
     a, b, cc, ue = ("a" + box_suffix, "b" + box_suffix, "c" + box_suffix,
                     "ue" + box_suffix)
     return {
@@ -159,38 +158,22 @@ def model_involution(
     """
     if model not in ("C1", "C2", "C3", "C4"):
         raise ValueError("unknown model %r" % model)
+    rules = staircase_reflection_rules(c, prefix)
     if model == "C1":
-        rules = staircase_reflection_rules_without_z0(c, prefix)
         rules.update(c1_box_coupling_rules(box_suffix, prefix))
-    else:
-        rules = staircase_reflection_rules(c, prefix)
     return involution_from_rules(c, rules)
-
-
-def staircase_reflection_rules_without_z0(
-    c: FilteredComplex, prefix: str = "z"
-) -> Rules:
-    """z_r^1 and z_r^2 swap, for r = 1, 2, ... while z_r^1 is in c."""
-    slot = c.indices()
-    rules: Rules = {}
-    r = 1
-    while "%s%d_1" % (prefix, r) in slot:
-        one, two = "%s%d_1" % (prefix, r), "%s%d_2" % (prefix, r)
-        rules[one], rules[two] = [(two, 0)], [(one, 0)]
-        r += 1
-    return rules
 
 
 def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     """Transpose of iota, acting on dual_c, which must be dualize of its complex.
 
-    dualize keeps generator order, so the matrices transpose slot for slot.
+    dualize keeps generator order, so the matrix transposes slot for slot.
     Each law validate_involution checks transposes, and the transpose of
     sarkar(c) is sarkar(dualize(c)), so the result is valid without a
     second check.  The guard is the test dual_c == dualize(c), made
     field by field and arrow by arrow against c without building a dual.
     """
-    c = iota.map.source
+    c = iota.complex
     if (
         len(dual_c.gens) != len(c.gens)
         or len(dual_c.diff) != len(c.diff)
@@ -198,12 +181,7 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
         or any(c.diff.get((s, t)) != a for (t, s), a in dual_c.diff.items())
     ):
         raise ValueError("dual_involution needs the dual of the involution's complex")
-
-    def transpose(f: ChainMap) -> ChainMap:
-        matrix = {(s, t): a for (t, s), a in f.matrix.items()}
-        return ChainMap(dual_c, dual_c, matrix, f.filtration_kind, f.maslov_shift)
-
-    return Involution(transpose(iota.map), transpose(iota.sigma))
+    return Involution(dual_c, {(s, t): a for (t, s), a in iota.matrix.items()})
 
 
 def figure_eight_involution(c: FilteredComplex) -> Involution:

@@ -29,7 +29,7 @@ from .involution import (
     involution_from_rules,
     model_involution,
     square_pair_rules,
-    staircase_reflection_rules_without_z0,
+    staircase_reflection_rules,
 )
 
 
@@ -232,16 +232,11 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     C1 staircase/box coupling on the one unpaired box."""
     spec = classify(params)
     mults = box_multiplicities(params)
-    if spec.family == "C1":
-        rules = staircase_reflection_rules_without_z0(c)
+    rules = staircase_reflection_rules(c)
+    if spec.main_diag_boxes:
         rules.update(c1_box_coupling_rules("_d1"))
-        d_start = 2
-    else:
-        rules = staircase_reflection_rules_without_z0(c)
-        rules["z0"] = [("z0", 0)]
-        d_start = 1
     slot = c.indices()
-    for t in range(d_start, mults.get(0, 0) + 1, 2):
+    for t in range(1 + spec.main_diag_boxes, mults.get(0, 0) + 1, 2):
         rules.update(square_pair_rules(c, "_d%d" % t, "_d%d" % (t + 1), slot))
     for s, count in mults.items():
         if s <= 0:

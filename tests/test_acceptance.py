@@ -206,7 +206,7 @@ def test_criterion_6_pair_splitting():
         )
         bigger = direct_sum([c, pair])
         rules: dict = {}
-        for (t, s), a in iota.map.matrix.items():
+        for (t, s), a in iota.matrix.items():
             rules.setdefault(c.gens[s].label, []).append((c.gens[t].label, a))
         rules.update(square_pair_rules(bigger, "@1", "@2"))
         assert involutive_invariants(bigger, involution_from_rules(bigger, rules)) == base

@@ -200,7 +200,7 @@ def test_i0_slice_drops_offdiagonal_arrows():
 def test_sarkar_on_box():
     box = build_box((0, 0))
     phi, psi = phi_psi(box)
-    comp = sarkar(box).matrix
+    comp = sarkar(box)
     a = box.index("a")
     ue = box.index("ue")
     assert comp[(ue, a)] == -1
@@ -209,7 +209,7 @@ def test_sarkar_on_box():
 
 def test_sarkar_identity_on_staircase():
     c = build_staircase("negative", (1, 2, 1, 1))
-    m = sarkar(c).matrix
+    m = sarkar(c)
     assert m == {(k, k): 0 for k in range(len(c.gens))}
 
 

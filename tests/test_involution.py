@@ -11,8 +11,8 @@ import pytest
 
 from cfku import upoly as up
 from cfku.complexes import (
-    ChainMap,
     FilteredComplex,
+    Generator,
     _compose,
     add_term,
     build_box,
@@ -70,13 +70,73 @@ def test_trefoil_involutions():
         c = trefoil_staircase(left)
         iota = standard_staircase_involution(c)
         assert validate_involution(iota) == []
-        assert iota.map.matrix[(c.index("z1_2"), c.index("z1_1"))] == 0
-        assert iota.map.matrix[(c.index("z0"), c.index("z0"))] == 0
+        assert iota.matrix[(c.index("z1_2"), c.index("z1_1"))] == 0
+        assert iota.matrix[(c.index("z0"), c.index("z0"))] == 0
 
 
 def test_staircase_involution_rejects_non_staircase():
-    with pytest.raises(ValueError):
+    # no z0
+    with pytest.raises(ValueError, match="not a staircase"):
         standard_staircase_involution(figure_eight_complex())
+    # a staircase plus a lone generator the reflection does not reach
+    stair = build_staircase("negative", (1, 2))
+    extra = FilteredComplex([Generator("x", stair.gens[0].maslov, 0, 0)], {})
+    with pytest.raises(ValueError, match="no involution rule"):
+        standard_staircase_involution(direct_sum([stair, extra]))
+
+
+# ---------------------------------------------------------------------------
+# validate_involution: one law per test, each broken alone
+
+
+def test_validator_grading_law():
+    # the right slot but Maslov shift 2: x and y sit at the origin in
+    # gradings 0 and 2, and iota swaps them
+    c = FilteredComplex([Generator("x", 0, 0, 0), Generator("y", 2, 0, 0)], {})
+    problems = validate_involution(Involution(c, {(1, 0): 0, (0, 1): 0}))
+    assert len(problems) == 2
+    assert all("grading law broken" in p for p in problems)
+
+
+def test_validator_transposed_slot():
+    # the identity on a staircase commutes with d and squares to sarkar,
+    # the identity there, but leaves z1_1 and z1_2 in their own slots
+    c = trefoil_staircase()
+    identity = {(k, k): 0 for k in range(len(c.gens))}
+    problems = validate_involution(Involution(c, identity))
+    assert problems == [
+        "term U^0 %s of iota(%s) not in the transposed slot" % (x, x)
+        for x in ("z1_1", "z1_2")
+    ]
+
+
+def test_validator_commutation():
+    # x -> y and x' -> y' at the origin; swapping x and x' but fixing y
+    # and y' keeps the slots and squares to the identity, which is sarkar
+    c = FilteredComplex(
+        [
+            Generator("x", 0, 0, 0),
+            Generator("y", -1, 0, 0),
+            Generator("x'", 0, 0, 0),
+            Generator("y'", -1, 0, 0),
+        ],
+        {(1, 0): 0, (3, 2): 0},
+    )
+    assert sarkar(c) == {(k, k): 0 for k in range(4)}
+    swap = {(2, 0): 0, (0, 2): 0, (1, 1): 0, (3, 3): 0}
+    problems = validate_involution(Involution(c, swap))
+    assert problems == ["does not commute with the differentials"]
+
+
+def test_validator_square_is_sarkar():
+    # the figure-eight map without its U^-1 ue term on x commutes with d
+    # but squares a to a, where sarkar(a) = a + U^-1 ue
+    c = figure_eight_complex()
+    iota = figure_eight_involution(c)
+    broken = dict(iota.matrix)
+    del broken[(c.index("ue"), c.index("x"))]
+    problems = validate_involution(Involution(c, broken))
+    assert problems == ["iota^2 differs from the Sarkar map"]
 
 
 def test_square_pair_main_diagonal():
@@ -117,19 +177,17 @@ def test_c1_squares_to_sarkar():
     a = c.index("a")
     ue = c.index("ue")
     # sigma(a) = a + U^-1 ue, reproduced by composing iota with itself
-    sq = _compose(iota.map.matrix, iota.map.matrix)
+    sq = _compose(iota.matrix, iota.matrix)
     assert sq[(ue, a)] == -1
-    assert sq == sigma.matrix
+    assert sq == sigma
 
 
 def test_c1_dropped_term_fails():
     c = c1_model(2)
     iota = model_involution("C1", c)
-    broken = dict(iota.map.matrix)
+    broken = dict(iota.matrix)
     del broken[(c.index("z0"), c.index("a"))]  # drop the +z0 coupling term
-    bad = Involution(
-        ChainMap(c, c, broken, "skew-filtered", 0), sarkar(c)
-    )
+    bad = Involution(c, broken)
     assert any("iota^2" in p or "commute" in p for p in validate_involution(bad))
 
 
@@ -137,15 +195,10 @@ def test_c1_identity_on_box_fails_skew():
     c = c1_model(2)
     rules = {g.label: [(g.label, 0)] for g in c.gens}
     bad = Involution(
-        ChainMap(
-            c, c,
-            {(c.index(t), c.index(s)): e for s, tgts in rules.items() for t, e in tgts},
-            "skew-filtered", 0,
-        ),
-        sarkar(c),
+        c, {(c.index(t), c.index(s)): e for s, tgts in rules.items() for t, e in tgts}
     )
     problems = validate_involution(bad)
-    assert any("transposed slot" in p or "skew" in p for p in problems)
+    assert any("transposed slot" in p for p in problems)
 
 
 def test_model_involutions_all_families():
@@ -172,16 +225,17 @@ def test_dual_c1_formulas():
     # the dual of iota(c) = b + z1_1 sends z1_1 to z1_2 plus a c term
     img = {
         d.gens[t].label: a
-        for (t, s), a in di.map.matrix.items()
+        for (t, s), a in di.matrix.items()
         if s == d.index("z1_1")
     }
     assert set(img) == {"z1_2", "c"}
 
 
 def test_sarkar_of_dual_is_transpose():
-    # why dual_involution may return the transpose of sigma as the Sarkar
-    # map of the dual: it is sarkar(dualize(c)) on the worked examples,
-    # every model complex with m <= 41 and every full complex with m <= 21
+    # why the transpose of a valid iota squares to the Sarkar map of the
+    # dual: the transpose of sarkar(c) is sarkar(dualize(c)) on the worked
+    # examples, every model complex with m <= 41 and every full complex
+    # with m <= 21
     cases = [
         right_trefoil_complex(),
         left_trefoil_complex(),
@@ -196,8 +250,8 @@ def test_sarkar_of_dual_is_transpose():
                 cases.append(full_complex(params))
     assert len(cases) == 4 + 210 + 55
     for c in cases:
-        transpose = {(s, t): a for (t, s), a in sarkar(c).matrix.items()}
-        assert sarkar(dualize(c)).matrix == transpose
+        transpose = {(s, t): a for (t, s), a in sarkar(c).items()}
+        assert sarkar(dualize(c)) == transpose
 
 
 def test_dual_involution_validates_on_every_answer_path_case():
@@ -223,9 +277,7 @@ def test_dual_involution_validates_on_every_answer_path_case():
     assert len(cases) == 4 + 2 * 210
     for c, iota in cases:
         d = dualize(c)
-        di = dual_involution(iota, d)
-        assert di.sigma.matrix == sarkar(d).matrix
-        assert validate_involution(di) == []
+        assert validate_involution(dual_involution(iota, d)) == []
 
 
 def _one_field_changes(d):
@@ -268,7 +320,7 @@ def test_dual_involution_rejects_other_complex():
     iota = full_involution(params, c)
     d = dualize(c)
     di = dual_involution(iota, FilteredComplex(list(d.gens), dict(d.diff)))
-    assert di.map.matrix == {(s, t): a for (t, s), a in iota.map.matrix.items()}
+    assert di.matrix == {(s, t): a for (t, s), a in iota.matrix.items()}
     changes = _one_field_changes(d)
     assert len(changes) == 9
     for other in changes:
@@ -281,7 +333,7 @@ def test_figure_eight_involution():
     c = figure_eight_complex()
     iota = figure_eight_involution(c)
     assert validate_involution(iota) == []
-    sq = _compose(iota.map.matrix, iota.map.matrix)
+    sq = _compose(iota.matrix, iota.matrix)
     assert sq[(c.index("ue"), c.index("a"))] == -1
 
 
@@ -398,9 +450,9 @@ def test_c1_involution_unique_up_to_basis_change():
             if (mask >> b) & 1:
                 sel ^= vec
         f = _mask_to_matrix(skew_vars, sel)
-        if _compose(f, f) == sigma.matrix:
+        if _compose(f, f) == sigma:
             candidates.append(f)
-    assert iota.map.matrix in candidates
+    assert iota.matrix in candidates
     assert len(candidates) >= 1
 
     filt_vars, filt_basis = _chain_map_space(c, "filtered")
@@ -418,5 +470,5 @@ def test_c1_involution_unique_up_to_basis_change():
     # g iota = f g for some invertible filtered chain map g
     for f in candidates:
         assert any(
-            _compose(g, iota.map.matrix) == _compose(f, g) for g in autos
+            _compose(g, iota.matrix) == _compose(f, g) for g in autos
         ), "involution not conjugate to the model map"
