@@ -31,7 +31,8 @@ Conventions used throughout:
 Complexes are validated once, where they are built or read: in
 build_staircase and direct_sum here, and in render.complex_from_json.
 A C2-C4 model complex is its staircase, so build_staircase's check is
-its only one.
+its only one; the staircase of a C1 model complex or of a full complex
+comes unchecked from _staircase, since direct_sum checks the sum.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;
@@ -185,13 +186,23 @@ def validate(c: FilteredComplex) -> list[str]:
 def build_staircase(
     sign: str, step_lengths: tuple[int, ...], prefix: str = "z"
 ) -> FilteredComplex:
-    """Staircase with the given top-half step lengths, z_v first.
+    """Staircase with the given top-half step lengths, z_v first, validated.
 
     sign "positive" gives the L-space-knot shape (z0 a source for odd v);
     "negative" the mirrored shape.  Gradings are normalized so that the
     tower of H(B0-) sits in grading 0: sources sit in grading 2 n(K) on a
     negative staircase and 1 - 2 n(K) on a positive one, sinks one lower.
     """
+    c = _staircase(sign, step_lengths, prefix)
+    problems = validate(c)
+    if problems:
+        raise ValueError("staircase invalid: %s" % problems)
+    return c
+
+
+def _staircase(sign: str, step_lengths: tuple[int, ...], prefix: str = "z") -> FilteredComplex:
+    """build_staircase without its validation, for a staircase that is
+    about to be checked as a summand of direct_sum."""
     if sign not in ("positive", "negative"):
         raise ValueError("sign must be positive or negative")
     if not step_lengths:
@@ -249,11 +260,7 @@ def build_staircase(
             if r < v:
                 arrow(src, "%s%d_%d" % (prefix, r + 1, side))
 
-    c = FilteredComplex(gens, diff)
-    problems = validate(c)
-    if problems:
-        raise ValueError("staircase invalid: %s" % problems)
-    return c
+    return FilteredComplex(gens, diff)
 
 
 def staircase_n_of_k(step_lengths: tuple[int, ...]) -> int:

@@ -23,8 +23,9 @@ homology, like every homology, comes from the same elimination run over
 all arrows.
 
 Two extractors read the cone, independent in how they read it, and share
-its one homology: a ConeComplex is frozen and takes its homology, d^2
-check included, once, on the first call to cone_homology.  involutive_vs
+its one homology and the Q-coordinates on it: a ConeComplex is frozen
+and takes its homology, d^2 check included, once, on the first call to
+cone_homology, and the coordinates once, on the first reading.  involutive_vs
 diagonalizes the induced Q-action on the free part of the homology.
 brute_force_vs enumerates homogeneous classes grading by grading and
 applies the definitions literally; it is the oracle the fast path is
@@ -134,6 +135,21 @@ class ConeComplex:
         """H of the cone, d^2 check included; stored only if it succeeds."""
         return sparse_homology(self.diff, self.maslov)
 
+    @cached_property
+    def q_coords(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Summand coordinates of Q applied to every homology generator.
+
+        (free, torsion): the free and the torsion coordinates of Q rep,
+        one column per generator, towers first.  Torsion classes can
+        have free components after multiplying by Q, so every generator
+        appears.  Like the homology, taken once and shared by both
+        extractors, which only read it.
+        """
+        h = self.homology
+        reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
+        coords = [h.class_coords(_apply(self.q, rep, len(rep))) for rep in reps]
+        return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
+
 
 def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
     """Cone of 1 + f on the complex a0, f one exponent per entry.
@@ -167,19 +183,6 @@ def cone_homology(cone: ConeComplex) -> GradedModule:
     return cone.homology
 
 
-def _q_coords(cone: ConeComplex, h: GradedModule) -> tuple[list[list[int]], list[list[int]]]:
-    """Summand coordinates of Q applied to every homology generator.
-
-    Returns (free, torsion): the free and the torsion coordinates of
-    Q rep, one column per generator, towers first.  Torsion classes can
-    have free components after multiplying by Q, so every generator
-    appears.
-    """
-    reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
-    coords = [h.class_coords(_apply(cone.q, rep, len(rep))) for rep in reps]
-    return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
-
-
 def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     """(lower, upper) correction terms from the cone homology.
 
@@ -189,7 +192,7 @@ def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     h = cone_homology(cone)
     if len(h.free) != 2:
         raise ValueError("cone homology has %d towers, expected 2" % len(h.free))
-    free_cols, _torsion_cols = _q_coords(cone, h)
+    free_cols, _torsion_cols = cone.q_coords
     qf = [[col[r] for col in free_cols] for r in range(2)]
     s = up.smith_normal_form(qf)
     if s.rank != 1:
@@ -227,7 +230,7 @@ def brute_force_vs(cone: ConeComplex) -> tuple[int, int]:
     cap = maxtors + spread // 2 + EXTRA_DEPTH
 
     # image of Q in summand coordinates, with torsion relations adjoined
-    qcols = [fc + tc for fc, tc in zip(*_q_coords(cone, h))]
+    qcols = [fc + tc for fc, tc in zip(*cone.q_coords)]
     for j in range(nt):
         col = [0] * (nf + nt)
         col[nf + j] = up.mono(h.torsion[j][1])

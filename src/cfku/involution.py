@@ -27,20 +27,31 @@ class Involution:
 Rules = dict[str, list[tuple[str, int]]]
 
 
-def involution_from_rules(c: FilteredComplex, rules: Rules) -> Involution:
+def involution_from_rules(
+    c: FilteredComplex, rules: Rules, slot: dict[str, int] | None = None
+) -> Involution:
     """Build iota from label rules {source: [(target, U-exponent), ...]}.
 
-    Every generator must get a rule.  The result is validated; a failing
-    rule set raises with the violation list.
+    Every generator must get a rule, and a rule may name only labels of
+    c.  The result is validated; a failing rule set raises with the
+    violation list.  slot is c.indices(); callers that already hold it
+    pass it in.
     """
     matrix: SparseMap = {}
     seen = set()
-    slot = c.indices()
-    for src, targets in rules.items():
-        s = slot[src]
-        seen.add(src)
-        for tgt, e in targets:
-            add_term(matrix, (slot[tgt], s), e)
+    if slot is None:
+        slot = c.indices()
+    try:
+        for src, targets in rules.items():
+            s = slot[src]
+            seen.add(src)
+            for tgt, e in targets:
+                add_term(matrix, (slot[tgt], s), e)
+    except KeyError as missing_label:
+        raise ValueError(
+            "involution rule names %r, which is not a generator of the complex"
+            % missing_label.args[0]
+        ) from None
     missing = {g.label for g in c.gens} - seen
     if missing:
         raise ValueError("no involution rule for %s" % sorted(missing))
@@ -79,14 +90,18 @@ def validate_involution(iota: Involution) -> list[str]:
     return problems
 
 
-def staircase_reflection_rules(c: FilteredComplex, prefix: str = "z") -> Rules:
+def staircase_reflection_rules(
+    c: FilteredComplex, prefix: str = "z", slot: dict[str, int] | None = None
+) -> Rules:
     """Reflection across i = j: z0 is fixed, and z_r^1 and z_r^2 swap for
     r = 1, 2, ... while both are in c.
 
     A complex without z0 raises; a generator the walk does not reach is
-    left without a rule, which involution_from_rules rejects.
+    left without a rule, which involution_from_rules rejects.  slot is
+    c.indices(), as in square_pair_rules.
     """
-    slot = c.indices()
+    if slot is None:
+        slot = c.indices()
     z0 = prefix + "0"
     if z0 not in slot:
         raise ValueError("input not a staircase: no generator %r" % z0)

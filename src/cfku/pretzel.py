@@ -5,15 +5,19 @@ number of acyclic boxes per diagonal.  Box multiplicities come from the
 closed form; the deep checks of report_dict tie them to the expected
 rank table.  The four model families differ in whether a box sits
 unpaired on the main diagonal and in the reflection behaviour of the
-staircase ends.
+staircase ends.  A model is defined by its staircase steps and, for C1,
+its box, so many pairs share one; model_triple computes each model's
+invariants once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .complexes import (
     FilteredComplex,
+    _staircase,
     build_box,
     build_staircase,
     direct_sum,
@@ -155,7 +159,7 @@ def expected_alexander(params: PretzelParams) -> dict[int, int]:
 
 def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
     """Staircase plus the given boxes; suffixes _d, _p{s}, _m{s} per corner."""
-    parts = [build_staircase("negative", params.steps)]
+    parts = [_staircase("negative", params.steps)]
     g = params.g
     for s in sorted(mults, reverse=True):
         if s < 0:
@@ -204,13 +208,24 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
 # Complexes and involutions
 
 
+def _box_maslov(params: PretzelParams, spec: ModelSpec) -> int | None:
+    """Maslov grading of the C1 main-diagonal box's a; None without the box."""
+    return params.g - 1 if spec.main_diag_boxes else None
+
+
+def _model(steps: tuple[int, ...], box_maslov: int | None) -> FilteredComplex:
+    """The negative staircase with these steps, summed with the box at
+    corner (-1, -1) when box_maslov is given."""
+    if box_maslov is None:
+        return build_staircase("negative", steps)
+    return direct_sum(
+        [_staircase("negative", steps), build_box((-1, -1), a_maslov=box_maslov)]
+    )
+
+
 def model_complex(params: PretzelParams) -> FilteredComplex:
     """The staircase; for family C1, summed with the unpaired main-diagonal box."""
-    spec = classify(params)
-    staircase = build_staircase("negative", params.steps)
-    if not spec.main_diag_boxes:
-        return staircase
-    return direct_sum([staircase, build_box((-1, -1), a_maslov=params.g - 1)])
+    return _model(params.steps, _box_maslov(params, classify(params)))
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:
@@ -232,10 +247,10 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     C1 staircase/box coupling on the one unpaired box."""
     spec = classify(params)
     mults = box_multiplicities(params)
-    rules = staircase_reflection_rules(c)
+    slot = c.indices()
+    rules = staircase_reflection_rules(c, slot=slot)
     if spec.main_diag_boxes:
         rules.update(c1_box_coupling_rules("_d1"))
-    slot = c.indices()
     for t in range(1 + spec.main_diag_boxes, mults.get(0, 0) + 1, 2):
         rules.update(square_pair_rules(c, "_d%d" % t, "_d%d" % (t + 1), slot))
     for s, count in mults.items():
@@ -245,7 +260,7 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
             rules.update(
                 square_pair_rules(c, "_p%d_%d" % (s, t), "_m%d_%d" % (s, t), slot)
             )
-    return involution_from_rules(c, rules)
+    return involution_from_rules(c, rules, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +342,54 @@ def theorem_values(params: PretzelParams, mirrored: bool = False) -> InvariantRe
     )
 
 
+def _chirality(
+    c: FilteredComplex, iota: Involution, mirrored: bool
+) -> tuple[FilteredComplex, Involution]:
+    """(c, iota), or its dual for the mirror.  Callers rebind both names,
+    so the primal objects are freed before the invariants are computed."""
+    if mirrored:
+        c = dualize(c)
+        iota = dual_involution(iota, c)
+    return c, iota
+
+
+@functools.cache
+def model_triple(
+    steps: tuple[int, ...], box_maslov: int | None, mirrored: bool
+) -> tuple[int, int, int]:
+    """(V0, lower V0, upper V0) of the model defined by its arguments.
+
+    The model is the negative staircase with these steps and, when
+    box_maslov is given (family C1), the main-diagonal box with its
+    coupling laid over the reflection; C2-C4 carry the reflection alone,
+    so they share a key.  The complex and the involution are validated
+    where they are built.  Many pairs share a model, so the triple is
+    cached on exactly these arguments, at most four entries per m + n.
+    Only the triple is kept, never a complex or an involution, which
+    relabel could change in place.
+    """
+    c = _model(steps, box_maslov)
+    c, iota = _chirality(c, model_involution("C2" if box_maslov is None else "C1", c), mirrored)
+    return involutive_invariants(c, iota)
+
+
 def compute_invariants(
     params: PretzelParams, mirrored: bool = False, use_full: bool = False
 ) -> InvariantReport:
-    """Full pipeline: complex, involution, A0-, cone, correction terms."""
+    """Full pipeline: complex, involution, A0-, cone, correction terms.
+
+    The model path classifies the pair on every call, which checks n(K)
+    and the box parity, and takes the triple from model_triple."""
     spec = classify(params)
     if use_full:
         c = full_complex(params)
-        iota = full_involution(params, c)
+        c, iota = _chirality(c, full_involution(params, c), mirrored)
+        triple = involutive_invariants(c, iota)
     else:
-        c = model_complex(params)
-        iota = model_involution_for(params, c)
-    if mirrored:
-        cd = dualize(c)
-        iota = dual_involution(iota, cd)
-        c = cd
+        triple = model_triple(params.steps, _box_maslov(params, spec), mirrored)
     return InvariantReport(
         params.m, params.n, mirrored, spec.family, spec.v, spec.n_of_k,
-        box_multiplicities(params), *involutive_invariants(c, iota),
+        box_multiplicities(params), *triple,
     )
 
 

@@ -38,7 +38,7 @@ from cfku.cone import (
     involutive_vs,
     restrict_to_a0,
 )
-from cfku.homology import _apply, v0, vector_grading
+from cfku.homology import GradedModule, _apply, v0, vector_grading
 from cfku.involution import (
     Involution,
     dual_involution,
@@ -303,6 +303,24 @@ def test_both_readings_take_the_homology_once(monkeypatch):
         involutive_vs(cone)
         brute_force_vs(cone)
         assert sizes == [len(cone.labels)]
+
+
+def test_both_readings_take_the_q_coordinates_once(monkeypatch):
+    calls = []
+    real = GradedModule.class_coords
+
+    def counting(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(GradedModule, "class_coords", counting)
+    for c, iota in _shared_homology_inputs():
+        cone = build_cone(c, iota)
+        involutive_vs(cone)
+        brute_force_vs(cone)
+        h = cone_homology(cone)
+        assert len(calls) == len(h.free) + len(h.torsion)
+        calls.clear()
 
 
 def test_readings_agree_in_either_order():

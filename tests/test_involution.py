@@ -348,6 +348,18 @@ def test_missing_rule_rejected():
         involution_from_rules(c, {"z0": [("z0", 0)]})
 
 
+def test_rule_naming_an_absent_label_rejected():
+    # a C1 call on a staircase without its box: the z0 rule names ue
+    with pytest.raises(ValueError, match="'ue', which is not a generator"):
+        model_involution("C1", build_staircase("negative", (1, 2)))
+    c = trefoil_staircase()
+    rules = {"z0": [("z0", 0)], "z1_1": [("z1_2", 0)], "z1_2": [("z1_1", 0)]}
+    with pytest.raises(ValueError, match="'x', which is not a generator"):
+        involution_from_rules(c, {**rules, "x": [("z0", 0)]})
+    with pytest.raises(ValueError, match="'y', which is not a generator"):
+        involution_from_rules(c, {**rules, "z0": [("y", 0)]})
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive uniqueness at the smallest coupled complex (slow tier)
 

@@ -7,12 +7,14 @@ the same formula evaluated twice.
 """
 
 import dataclasses
-from collections import Counter
+import logging
+from collections import Counter, defaultdict
 
 import pytest
 
-from cfku import cli, pretzel
+from cfku import cli, complexes, pretzel
 from cfku.complexes import build_staircase, dualize, validate
+from cfku.cone import involutive_invariants
 from cfku.involution import dual_involution, validate_involution
 from cfku.pretzel import (
     PretzelParams,
@@ -26,6 +28,7 @@ from cfku.pretzel import (
     gmm_ledger,
     model_complex,
     model_involution_for,
+    model_triple,
     report_dict,
     theorem_values,
 )
@@ -274,3 +277,109 @@ def test_shallow_mismatch_diagnostics_hold_the_triples(monkeypatch):
     rep = report_dict(5, 5, False, deep=False)
     assert rep["checks"] == {"theorem_match": False}
     assert rep["diagnostics"] == {"expected": [0, 0, -2], "computed": [0, 0, 7]}
+
+
+# ---------------------------------------------------------------------------
+# Validate once; one model computation per key
+
+
+def _counting_validate(monkeypatch):
+    calls = []
+    real = complexes.validate
+
+    def counting(c):
+        calls.append(len(c.gens))
+        return real(c)
+
+    monkeypatch.setattr(complexes, "validate", counting)
+    return calls
+
+
+def test_each_pretzel_complex_is_validated_once(monkeypatch):
+    calls = _counting_validate(monkeypatch)
+    c = full_complex(PretzelParams(9, 9))
+    assert calls == [len(c.gens)]
+    calls.clear()
+    c = model_complex(PretzelParams(5, 5))  # C1: staircase plus box
+    assert calls == [len(c.gens)] and len(c.gens) == 9 + 4
+    calls.clear()
+    c = model_complex(PretzelParams(7, 5))  # C2: the staircase alone
+    assert calls == [len(c.gens)]
+
+
+def _model_key(params):
+    """What defines the model: its steps and, for C1, the box grading."""
+    return params.steps, params.g - 1 if classify(params).family == "C1" else None
+
+
+def _pairs_by_key(m_max):
+    classes = defaultdict(list)
+    for m in range(3, m_max + 1, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            classes[_model_key(params)].append(params)
+    return classes
+
+
+def test_model_triple_matches_an_uncached_run():
+    model_triple.cache_clear()
+    for m in range(3, 42, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            c = model_complex(params)
+            iota = model_involution_for(params, c)
+            d = dualize(c)
+            fresh = {
+                False: involutive_invariants(c, iota),
+                True: involutive_invariants(d, dual_involution(iota, d)),
+            }
+            for mirrored, want in fresh.items():
+                assert model_triple(*_model_key(params), mirrored) == want, (m, n, mirrored)
+                assert compute_invariants(params, mirrored).triple == want, (m, n, mirrored)
+    assert model_triple.cache_info().currsize == 2 * len(_pairs_by_key(41))
+
+
+def test_pairs_sharing_a_key_build_identical_models():
+    classes = _pairs_by_key(41)
+    assert (len(_pairs_by_key(21)), len(classes)) == (27, 57)
+    for key, members in classes.items():
+        built = []
+        for params in members:
+            c = model_complex(params)
+            iota = model_involution_for(params, c)
+            built.append(([tuple(g) for g in c.gens], c.diff, iota.matrix))
+        assert all(b == built[0] for b in built), key
+
+
+def test_theorem_triple_is_constant_on_each_key():
+    for key, members in _pairs_by_key(41).items():
+        for mirrored in (False, True):
+            triples = {theorem_values(p, mirrored).triple for p in members}
+            assert len(triples) == 1, (key, mirrored, triples)
+
+
+def test_classify_runs_on_every_call_to_the_memo(monkeypatch, caplog):
+    model_triple.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="cfku.cone"):
+        compute_invariants(PretzelParams(7, 5))
+        compute_invariants(PretzelParams(9, 3))  # same steps, also no box
+    assert model_triple.cache_info()[:2] == (1, 1)  # hits, misses
+    assert [r.getMessage()[:4] for r in caplog.records] == ["A0-:"]
+    monkeypatch.setattr(pretzel, "box_multiplicities", lambda p: {0: 1})
+    with pytest.raises(ValueError, match="parity"):
+        compute_invariants(PretzelParams(7, 5))
+
+
+def test_sweep_reports_do_not_depend_on_case_order():
+    cases = [
+        (m, n, mirrored, not mirrored)
+        for m in range(3, 22, 2)
+        for n in range(3, m + 1, 2)
+        for mirrored in (False, True)
+    ]
+    runs = []
+    for order in (cases, cases[::-1]):
+        model_triple.cache_clear()
+        runs.append({case[:3]: report_dict(*case) for case in order})
+    assert runs[0] == runs[1]
+    assert all(all(r["checks"].values()) for r in runs[0].values())
