@@ -56,3 +56,21 @@ def test_summary_pairs_runs_by_seed():
 def test_seed_lists():
     assert bench_pairs.parse_seeds("201-204") == [201, 202, 203, 204]
     assert bench_pairs.parse_seeds("7,3") == [7, 3]
+
+
+def test_peak_rss_compared_over_the_passes_both_sides_ran():
+    runs = []
+    for seed, parent, change in (
+        (1, [20.0, 21.0, 22.0], [20.5, 21.5, 22.5, 30.0, 31.0]),
+        (2, [20.0, 20.0, 26.0, 27.0], [19.0, 19.5, 19.0]),
+    ):
+        for side, rss in (("parent", parent), ("change", change)):
+            runs.append({**record(side, seed, 0.1, 1), "pass_peak_rss_mb": rss})
+    same = bench_pairs.summarise(runs, END_TO_END)["oracle"]["peak_rss_mb_same_passes"]
+    # each pair keeps its first three passes a side
+    assert same["parent"]["median"] == pytest.approx((21.0 + 20.0) / 2)
+    assert same["change"]["median"] == pytest.approx((21.5 + 19.0) / 2)
+    assert same["change_wins"] == 1
+    # records without per-pass values give no such comparison
+    plain = [record(side, seed, 0.1, 1) for side in ("parent", "change") for seed in (1, 2)]
+    assert "peak_rss_mb_same_passes" not in bench_pairs.summarise(plain, END_TO_END)["oracle"]

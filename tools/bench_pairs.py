@@ -20,6 +20,11 @@ end-to-end metric: each side's median and quartiles over its runs, the
 number of pairs the change wins, and the relative change of the
 median), traced and runs.  The end-to-end metrics and the direction in
 which each is better are read from the change tree's ``BENCHMARK.json``.
+A run record also keeps the ``peak_rss_mb`` of each untraced pass, and
+the summary compares the two sides of a pair over the passes both ran
+(``peak_rss_mb_same_passes``): a pass process inherits the memory
+high-water mark of ``run.py``, which grows by one record per pass, so
+the run's median favours the side that fits fewer passes into the run.
 A side reports its failed cases in its run records; a run that prints
 no result stops the tool.
 """
@@ -72,6 +77,7 @@ def run_side(tree: Path, side: str, workload: str, seed: int, seconds: float, tr
         "git_revision": full["provenance"]["git_revision"],
         "src_sha256": full["provenance"]["src_sha256"],
         "passes": len(full["passes"]),
+        "pass_peak_rss_mb": [p["peak_rss_mb"] for p in full["passes"] if not p["traced"]],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "loadavg_before": full["provenance"]["loadavg_before"],
@@ -120,7 +126,28 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             "failed": {side: sum(by_seed[side][s]["failed"] for s in seeds) for side in SIDES},
             "metrics": metrics,
         }
+        pairs = [(by_seed["parent"][s], by_seed["change"][s]) for s in seeds]
+        if all("pass_peak_rss_mb" in r for pair in pairs for r in pair):
+            out[workload]["peak_rss_mb_same_passes"] = same_passes(pairs)
     return out
+
+
+def same_passes(pairs: list[tuple[dict, dict]]) -> dict:
+    """Each side's median pass peak RSS over the first k passes of a pair,
+    k the smaller of the two pass counts, compared as summarise does."""
+    values = {side: [] for side in SIDES}
+    for pair in pairs:
+        k = min(len(r["pass_peak_rss_mb"]) for r in pair)
+        for side, r in zip(SIDES, pair):
+            values[side].append(statistics.median(r["pass_peak_rss_mb"][:k]))
+    return {
+        "parent": quartiles(values["parent"]),
+        "change": quartiles(values["change"]),
+        "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        "change_vs_parent_median": (
+            statistics.median(values["change"]) / statistics.median(values["parent"]) - 1
+        ),
+    }
 
 
 def host() -> dict:
