@@ -56,10 +56,6 @@ class Generator(NamedTuple):
     i: int
     j: int
 
-    @property
-    def plane(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
 
 @dataclass
 class FilteredComplex:
@@ -183,9 +179,7 @@ def validate(c: FilteredComplex) -> list[str]:
 # Constructors
 
 
-def build_staircase(
-    sign: str, step_lengths: tuple[int, ...], prefix: str = "z"
-) -> FilteredComplex:
+def build_staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     """Staircase with the given top-half step lengths, z_v first, validated.
 
     sign "positive" gives the L-space-knot shape (z0 a source for odd v);
@@ -193,14 +187,14 @@ def build_staircase(
     tower of H(B0-) sits in grading 0: sources sit in grading 2 n(K) on a
     negative staircase and 1 - 2 n(K) on a positive one, sinks one lower.
     """
-    c = _staircase(sign, step_lengths, prefix)
+    c = _staircase(sign, step_lengths)
     problems = validate(c)
     if problems:
         raise ValueError("staircase invalid: %s" % problems)
     return c
 
 
-def _staircase(sign: str, step_lengths: tuple[int, ...], prefix: str = "z") -> FilteredComplex:
+def _staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     """build_staircase without its validation, for a staircase that is
     about to be checked as a summand of direct_sum."""
     if sign not in ("positive", "negative"):
@@ -234,12 +228,12 @@ def _staircase(sign: str, step_lengths: tuple[int, ...], prefix: str = "z") -> F
 
     nk = staircase_n_of_k(step_lengths)
     top = 2 * nk if sign == "negative" else 1 - 2 * nk
-    add("%s0" % prefix, top if is_source(0) else top - 1, 0, 0)
+    add("z0", top if is_source(0) else top - 1, 0, 0)
     for r in range(1, v + 1):
         m = top if is_source(r) else top - 1
         i, j = pos1[r]
-        add("%s%d_1" % (prefix, r), m, i, j)
-        add("%s%d_2" % (prefix, r), m, j, i)
+        add("z%d_1" % r, m, i, j)
+        add("z%d_2" % r, m, j, i)
 
     diff: SparseMap = {}
 
@@ -250,15 +244,15 @@ def _staircase(sign: str, step_lengths: tuple[int, ...], prefix: str = "z") -> F
         if not is_source(r):
             continue
         if r == 0:
-            arrow("%s0" % prefix, "%s1_1" % prefix)
-            arrow("%s0" % prefix, "%s1_2" % prefix)
+            arrow("z0", "z1_1")
+            arrow("z0", "z1_2")
             continue
         for side in (1, 2):
-            src = "%s%d_%d" % (prefix, r, side)
-            below = "%s0" % prefix if r == 1 else "%s%d_%d" % (prefix, r - 1, side)
+            src = "z%d_%d" % (r, side)
+            below = "z0" if r == 1 else "z%d_%d" % (r - 1, side)
             arrow(src, below)
             if r < v:
-                arrow(src, "%s%d_%d" % (prefix, r + 1, side))
+                arrow(src, "z%d_%d" % (r + 1, side))
 
     return FilteredComplex(gens, diff)
 

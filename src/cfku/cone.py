@@ -26,7 +26,8 @@ Two extractors read the cone, independent in how they read it, and share
 its one homology and the Q-coordinates on it: a ConeComplex is frozen
 and takes its homology, d^2 check included, once, on the first call to
 cone_homology, and the coordinates once, on the first reading.  involutive_vs
-diagonalizes the induced Q-action on the free part of the homology.
+reads the tower that the image of Q saturates directly off the
+Q-coordinates on the two towers, with no Smith normal form.
 brute_force_vs enumerates homogeneous classes grading by grading and
 applies the definitions literally; it is the oracle the fast path is
 tested against.
@@ -186,20 +187,31 @@ def cone_homology(cone: ConeComplex) -> GradedModule:
 def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     """(lower, upper) correction terms from the cone homology.
 
-    The homology must have exactly two towers and the Q-action must
-    saturate exactly one of them; both conditions are checked.
+    The homology must have exactly two towers, and the image of Q in
+    them must have rank exactly 1: some column (a, b) of Q's tower
+    coordinates is nonzero, and every column (c, d) is proportional to
+    it, a d = b c.  Dividing (a, b) by the largest power of U that
+    divides both entries gives the primitive vector of the tower that
+    the image saturates; its grading is g2.  The gradings of any
+    homogeneous basis of F[U]^2 are the same multiset, so the other
+    tower sits in g1 = gamma_0 + gamma_1 - g2.  A failed check, or g2
+    odd or g1 even, raises ValueError.
     """
     h = cone_homology(cone)
     if len(h.free) != 2:
         raise ValueError("cone homology has %d towers, expected 2" % len(h.free))
     free_cols, _torsion_cols = cone.q_coords
-    qf = [[col[r] for col in free_cols] for r in range(2)]
-    s = up.smith_normal_form(qf)
-    if s.rank != 1:
-        raise ValueError("Q-action saturates %d towers, expected 1" % s.rank)
+    nonzero = [col for col in free_cols if any(col)]
+    rank = 0
+    if nonzero:
+        a, b = nonzero[0]
+        rank = 1 if all(up.mul(a, d) == up.mul(b, c) for c, d in nonzero) else 2
+    if rank != 1:
+        raise ValueError("Q-action saturates %d towers, expected 1" % rank)
+    shift = min((p & -p).bit_length() - 1 for p in (a, b) if p)
     gammas = [g for g, _rep in h.free]
-    g2 = vector_grading([s.Linv[r][0] for r in range(2)], gammas)
-    g1 = vector_grading([s.Linv[r][1] for r in range(2)], gammas)
+    g2 = vector_grading([a >> shift, b >> shift], gammas)
+    g1 = sum(gammas) - g2
     if g2 % 2 or (g1 - 1) % 2:
         raise ValueError("tower gradings have the wrong parities")
     return (-(g1 - 1) // 2, -g2 // 2)

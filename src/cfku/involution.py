@@ -91,7 +91,7 @@ def validate_involution(iota: Involution) -> list[str]:
 
 
 def staircase_reflection_rules(
-    c: FilteredComplex, prefix: str = "z", slot: dict[str, int] | None = None
+    c: FilteredComplex, slot: dict[str, int] | None = None
 ) -> Rules:
     """Reflection across i = j: z0 is fixed, and z_r^1 and z_r^2 swap for
     r = 1, 2, ... while both are in c.
@@ -102,21 +102,20 @@ def staircase_reflection_rules(
     """
     if slot is None:
         slot = c.indices()
-    z0 = prefix + "0"
-    if z0 not in slot:
-        raise ValueError("input not a staircase: no generator %r" % z0)
-    rules: Rules = {z0: [(z0, 0)]}
+    if "z0" not in slot:
+        raise ValueError("input not a staircase: no generator 'z0'")
+    rules: Rules = {"z0": [("z0", 0)]}
     r = 1
     while True:
-        one, two = "%s%d_1" % (prefix, r), "%s%d_2" % (prefix, r)
+        one, two = "z%d_1" % r, "z%d_2" % r
         if one not in slot or two not in slot:
             return rules
         rules[one], rules[two] = [(two, 0)], [(one, 0)]
         r += 1
 
 
-def standard_staircase_involution(c: FilteredComplex, prefix: str = "z") -> Involution:
-    return involution_from_rules(c, staircase_reflection_rules(c, prefix))
+def standard_staircase_involution(c: FilteredComplex) -> Involution:
+    return involution_from_rules(c, staircase_reflection_rules(c))
 
 
 def square_pair_rules(
@@ -146,7 +145,7 @@ def square_pair_rules(
     }
 
 
-def c1_box_coupling_rules(box_suffix: str = "", prefix: str = "z") -> Rules:
+def c1_box_coupling_rules(box_suffix: str = "") -> Rules:
     """The coupled staircase/box part of the C1 involution.
 
     Laid over staircase_reflection_rules with update, its z0 rule
@@ -154,17 +153,15 @@ def c1_box_coupling_rules(box_suffix: str = "", prefix: str = "z") -> Rules:
     a, b, cc, ue = ("a" + box_suffix, "b" + box_suffix, "c" + box_suffix,
                     "ue" + box_suffix)
     return {
-        a: [(a, 0), (prefix + "0", 0)],
-        b: [(cc, 0), (prefix + "1_2", 0)],
-        cc: [(b, 0), (prefix + "1_1", 0)],
+        a: [(a, 0), ("z0", 0)],
+        b: [(cc, 0), ("z1_2", 0)],
+        cc: [(b, 0), ("z1_1", 0)],
         ue: [(ue, 0)],
-        prefix + "0": [(prefix + "0", 0), (ue, -1)],
+        "z0": [("z0", 0), (ue, -1)],
     }
 
 
-def model_involution(
-    model: str, c: FilteredComplex, box_suffix: str = "", prefix: str = "z"
-) -> Involution:
+def model_involution(model: str, c: FilteredComplex) -> Involution:
     """iota for the pretzel model complexes C1..C4.
 
     C2-C4 are pure staircases carrying the reflection; C1 couples the
@@ -173,9 +170,9 @@ def model_involution(
     """
     if model not in ("C1", "C2", "C3", "C4"):
         raise ValueError("unknown model %r" % model)
-    rules = staircase_reflection_rules(c, prefix)
+    rules = staircase_reflection_rules(c)
     if model == "C1":
-        rules.update(c1_box_coupling_rules(box_suffix, prefix))
+        rules.update(c1_box_coupling_rules())
     return involution_from_rules(c, rules)
 
 

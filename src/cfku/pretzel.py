@@ -86,7 +86,6 @@ class ModelSpec:
     v: int
     n_of_k: int
     main_diag_boxes: int  # the unpaired main-diagonal box: 1 for C1, else 0
-    pair_boxes: dict[int, int]  # diagonal -> multiplicity of reflection-paired boxes
 
 
 FAMILIES = {(1, 1): "C1", (3, 1): "C2", (3, 3): "C3", (1, 3): "C4"}
@@ -108,10 +107,7 @@ def classify(params: PretzelParams) -> ModelSpec:
             "%d main-diagonal boxes have the wrong parity for %s"
             % (mults.get(0, 0), family)
         )
-    pair = {s: b for s, b in mults.items() if s != 0}
-    if mults.get(0, 0) - main:
-        pair[0] = mults[0] - main
-    return ModelSpec(family, v, n_of_k, main, pair)
+    return ModelSpec(family, v, n_of_k, main)
 
 
 # ---------------------------------------------------------------------------

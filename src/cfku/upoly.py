@@ -9,12 +9,11 @@ Matrices are dense lists of rows of ints.  smith_normal_form takes only
 graded matrices, whose nonzero entries are single monomials U^a with a
 fixed by a row and a column grading, as every differential and map of a
 graded complex is; it raises ValueError on any other matrix.  It returns
-the diagonal together with the unimodular transforms L, R and their
-inverses.  Homology does not use it (homology.eliminate decomposes a
-differential directly); its callers are the small matrices of the cone
-extractors: cone.involutive_vs reads tower gradings off Linv of the 2x2
-Q-matrix, and cone.brute_force_vs decides image membership with solve,
-which reads L and R.
+the diagonal together with the unimodular transforms L and R.  No
+answer reads it: homology.eliminate decomposes a differential directly,
+and cone.involutive_vs reads the saturated tower off the Q-coordinates.
+Smith normal form and solve serve only the oracle cone.brute_force_vs,
+which decides image membership with solve.
 """
 
 from __future__ import annotations
@@ -94,13 +93,11 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
 
 @dataclass
 class SNF:
-    """L @ M @ R == diag(d) with L, R unimodular; Linv, Rinv their inverses."""
+    """L @ M @ R == diag(d) with L, R unimodular."""
 
     d: list[int]
     L: list[list[int]]
-    Linv: list[list[int]]
     R: list[list[int]]
-    Rinv: list[list[int]]
     rank: int
 
 
@@ -118,9 +115,7 @@ def smith_normal_form(matrix: list[list[int]]) -> SNF:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     L = mat_identity(rows)
-    Linv = mat_identity(rows)
     R = mat_identity(cols)
-    Rinv = mat_identity(cols)
 
     for t in range(min(rows, cols)):
         best = None
@@ -142,18 +137,15 @@ def smith_normal_form(matrix: list[list[int]]) -> SNF:
         if pi != t:
             m[pi], m[t] = m[t], m[pi]
             L[pi], L[t] = L[t], L[pi]
-            for lr in Linv:
-                lr[pi], lr[t] = lr[t], lr[pi]
         if pj != t:
             for mat in (m, R):
                 for r in mat:
                     r[pj], r[t] = r[t], r[pj]
-            Rinv[pj], Rinv[t] = Rinv[t], Rinv[pj]
         mt, lt = m[t], L[t]
         for i in range(t + 1, rows):
             if not m[i][t]:
                 continue
-            # row_i += U^s row_t on m and L; the inverse acts on Linv columns
+            # row_i += U^s row_t on m and L
             s = deg(m[i][t]) - e
             mi, li = m[i], L[i]
             for j in range(t, cols):
@@ -162,28 +154,20 @@ def smith_normal_form(matrix: list[list[int]]) -> SNF:
             for j in range(rows):
                 if lt[j]:
                     li[j] ^= lt[j] << s
-            for lr in Linv:
-                if lr[i]:
-                    lr[t] ^= lr[i] << s
-        rt = Rinv[t]
         for j in range(t + 1, cols):
             if not mt[j]:
                 continue
-            # col_j += U^s col_t on m and R; the inverse acts on Rinv rows.
-            # Column t of m is clear but for the pivot, so m changes only at m[t][j].
+            # col_j += U^s col_t on m and R.  Column t of m is clear but
+            # for the pivot, so m changes only at m[t][j].
             s = deg(mt[j]) - e
             mt[j] = 0
             for r in R:
                 if r[t]:
                     r[j] ^= r[t] << s
-            rj = Rinv[j]
-            for c in range(cols):
-                if rj[c]:
-                    rt[c] ^= rj[c] << s
 
     d = [m[i][i] for i in range(min(rows, cols))]
     rank = sum(1 for x in d if x)
-    return SNF(d=d, L=L, Linv=Linv, R=R, Rinv=Rinv, rank=rank)
+    return SNF(d=d, L=L, R=R, rank=rank)
 
 
 def solve(a: list[list[int]], b: list[int], snf: SNF | None = None) -> list[int] | None:

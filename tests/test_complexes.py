@@ -108,7 +108,7 @@ def test_generator_is_an_immutable_value():
     assert g == same and hash(g) == hash(same)
     assert len({g, same}) == 1
     assert g != Generator("x", 3, -2, 1)
-    assert g.plane == (1, -2)
+    assert (g.i, g.j) == (1, -2)
 
 
 def test_add_shifted():

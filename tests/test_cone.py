@@ -9,11 +9,12 @@ is feasible.
 import copy
 import dataclasses
 import logging
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfku import cone as cone_module, upoly as up
+from cfku import cone as cone_module, pretzel, upoly as up
 from cfku.complexes import (
     _compose,
     build_box,
@@ -276,6 +277,37 @@ def test_involutive_vs_precondition():
     one_tower = ConeComplex(["x"], [0], {}, {})
     with pytest.raises(ValueError, match="1 towers, expected 2"):
         involutive_vs(one_tower)
+
+
+def test_involutive_vs_rejects_q_rank_and_parity():
+    # no differential, so both generators are towers; Q = 0 first
+    with pytest.raises(ValueError, match="saturates 0 towers"):
+        involutive_vs(ConeComplex(["a", "b"], [1, 0], {}, {}))
+    # Q a = b and Q b = U a: the image is all of F[U]^2
+    with pytest.raises(ValueError, match="saturates 2 towers"):
+        involutive_vs(ConeComplex(["a", "b"], [1, 0], {}, {(1, 0): 0, (0, 1): 1}))
+    # both towers in even grading
+    with pytest.raises(ValueError, match="wrong parities"):
+        involutive_vs(ConeComplex(["a", "b"], [0, 2], {}, {(0, 1): 0}))
+
+
+def test_answer_path_makes_no_smith_normal_form(monkeypatch):
+    calls = []
+    real = up.smith_normal_form
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cfku" and getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    pretzel.model_triple.cache_clear()  # so that the model path runs
+    for m, n in ((5, 5), (7, 5), (7, 7), (9, 7)):  # C1, C2, C3, C4
+        for mirrored in (False, True):
+            for use_full in (False, True):
+                pretzel.compute_invariants(PretzelParams(m, n), mirrored, use_full)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ staircases exercise the representative and coordinate machinery (reps
 are cycles, coordinates of a rep form a unit vector, torsion reps die
 at their order).  sparse_homology, one elimination over all arrows, is
 checked up to isomorphism against a reference made of two Smith normal
-forms on the whole dense matrix (_two_pass_reference), and its entry
-points cone_homology and homology_over_U against the dense front door
+forms on the whole dense matrix (_two_pass_reference, which takes the
+inverse transforms from test_upoly._inverse), and its entry points
+cone_homology and homology_over_U against the dense front door
 graded_homology, over the worked examples and the pretzel cones.  The
 bigraded rank tables for the three small knots are the standard
 published values.
@@ -56,6 +57,7 @@ from cfku.pretzel import (
     model_complex,
     model_involution_for,
 )
+from test_upoly import _inverse
 
 steps_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).map(tuple)
 
@@ -153,18 +155,19 @@ def _two_pass_reference(d, maslov):
     s1 = up.smith_normal_form(d)
     rho = s1.rank
     kernel_cols = [[s1.R[i][k] for k in range(rho, n)] for i in range(n)]
-    ri_li = up.mat_mul(s1.Rinv, s1.Linv)
+    ri_li = up.mat_mul(_inverse(s1.R), _inverse(s1.L))
     rel = [
         [up.mul(s1.d[k], ri_li[rho + r][k]) for k in range(rho)]
         for r in range(n - rho)
     ]
     s2 = up.smith_normal_form(rel)
+    l2inv = _inverse(s2.L)
     free, torsion = [], []
     dprime = list(s2.d) + [0] * (n - rho - len(s2.d))
     for r in range(n - rho):
         if dprime[r] == 1:
             continue
-        rep = up.mat_vec(kernel_cols, [s2.Linv[i][r] for i in range(n - rho)])
+        rep = up.mat_vec(kernel_cols, [l2inv[i][r] for i in range(n - rho)])
         grading = vector_grading(rep, maslov)
         if dprime[r] == 0:
             free.append((grading, rep))

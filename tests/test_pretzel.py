@@ -57,7 +57,8 @@ def test_classify_examples():
     assert classify(PretzelParams(9, 7)).family == "C4"
     assert classify(PretzelParams(9, 7)).n_of_k == 4
     spec33 = classify(PretzelParams(3, 3))
-    assert (spec33.family, spec33.n_of_k, spec33.pair_boxes) == ("C3", 1, {})
+    assert (spec33.family, spec33.n_of_k, spec33.main_diag_boxes) == ("C3", 1, 0)
+    assert box_multiplicities(PretzelParams(3, 3)) == {}
     assert PretzelParams(3, 3).steps == (1, 2)
 
 

@@ -1,9 +1,10 @@
 """Arithmetic and Smith normal form over F2[U].
 
 Oracles: SNF is checked by recomposing L @ M @ R and by multiplying the
-returned transforms against their returned inverses, on random graded
-matrices (entry (i, j) zero or the one monomial the row and column
-gradings allow); matrices that are not graded must raise.
+returned transforms against inverses computed by _inverse, on both
+sides, on random graded matrices (entry (i, j) zero or the one monomial
+the row and column gradings allow); matrices that are not graded must
+raise.
 """
 
 import pytest
@@ -44,6 +45,17 @@ def test_mul_matches_schoolbook(a, b):
     assert up.mul(a, b) == acc
 
 
+def _inverse(t):
+    """Inverse of a unimodular transform t.
+
+    Once the diagonal of t's own Smith normal form is all units,
+    L_s t R_s = I, so t^-1 = R_s L_s.
+    """
+    s = up.smith_normal_form(t)
+    assert s.d == [1] * len(t)
+    return up.mat_mul(s.R, s.L)
+
+
 def _check_snf(m):
     res = up.smith_normal_form(m)
     rows, cols = len(m), len(m[0]) if m else 0
@@ -53,11 +65,12 @@ def _check_snf(m):
         for j in range(cols):
             want = res.d[i] if i == j and i < len(res.d) else 0
             assert lmr[i][j] == want
-    # unimodularity: explicit two-sided inverses over F2[U]
-    assert up.mat_mul(res.L, res.Linv) == up.mat_identity(rows)
-    assert up.mat_mul(res.Linv, res.L) == up.mat_identity(rows)
-    assert up.mat_mul(res.R, res.Rinv) == up.mat_identity(cols)
-    assert up.mat_mul(res.Rinv, res.R) == up.mat_identity(cols)
+    # unimodularity: verified two-sided inverses over F2[U]
+    linv, rinv = _inverse(res.L), _inverse(res.R)
+    assert up.mat_mul(res.L, linv) == up.mat_identity(rows)
+    assert up.mat_mul(linv, res.L) == up.mat_identity(rows)
+    assert up.mat_mul(res.R, rinv) == up.mat_identity(cols)
+    assert up.mat_mul(rinv, res.R) == up.mat_identity(cols)
     # monomial diagonal with nondecreasing exponents, zeros last
     nonzero = [x for x in res.d if x]
     assert res.d == nonzero + [0] * (len(res.d) - len(nonzero))
