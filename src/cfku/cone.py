@@ -11,16 +11,16 @@ image of the Q-action, the upper one the quotient tower.
 
 involutive_invariants reads every invariant from the cancelled A0-:
 cancel_units removes each unit (U^0) arrow of A0- through the Gaussian
-elimination that every homology also runs (homology.eliminate), stopped
-after the unit pivots, and carries iota along as P iota I, with I and P
-the inclusion and projection of that elimination.  Only the unit pivots
-keep P iota I an iota-homotopy equivalence, so this gives a complex
-with involution that is iota-homotopy equivalent to (A0-, iota) and has
-the same V0, lower V0 and upper V0.  build_cone is the unreduced cone on
-the whole A0- basis; it is kept as the oracle that the reduced path is
-tested against and is what `cfku show --which cone` renders.  Its
-homology, like every homology, comes from the same elimination run over
-all arrows.
+elimination that every homology also runs (homology.eliminate on the A0-
+gradings), stopped after its scan of the unit pivots, and carries iota
+along as P iota I, with I and P the inclusion and projection of that
+elimination.  Only the unit pivots keep P iota I an iota-homotopy
+equivalence, so this gives a complex with involution that is
+iota-homotopy equivalent to (A0-, iota) and has the same V0, lower V0
+and upper V0.  build_cone is the unreduced cone on the whole A0- basis;
+it is kept as the oracle that the reduced path is tested against and is
+what `cfku show --which cone` renders.  Its homology, like every
+homology, comes from the same elimination run over all arrows.
 
 Two extractors read the cone, independent in how they read it, and share
 its one homology and the Q-coordinates on it: a ConeComplex is frozen
@@ -92,18 +92,18 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
     homotopy equivalence; iota becomes iota' = P iota I.  The result
     keeps the surviving entries of the A0- basis.  iota' squares to the
     Sarkar map only up to homotopy, so it is not an Involution; instead
-    d'^2 = 0, iota' d' = d' iota' and the grading law of every entry are
-    checked, and any failure raises ValueError.
+    d'^2 = 0, iota' d' = d' iota' and the grading law of every iota'
+    entry are checked (eliminate reads every d' exponent off the
+    gradings), and any failure raises ValueError.
     """
     a0 = subquotient(c, "A0minus")
-    keep, diff, inc, proj, _torsion = eliminate(a0.diff, len(a0.basis), units_only=True)
+    keep, diff, inc, proj, _torsion = eliminate(a0.diff, a0.maslov, units_only=True)
     fmap = _compose(proj, _compose(restrict_to_a0(iota, a0), inc))
     maslov = [a0.maslov[k] for k in keep]
     problems = [
-        "%s entry U^%d from %d to %d breaks the grading law" % (name, a, s, t)
-        for name, m, shift in (("d'", diff, -1), ("iota'", fmap, 0))
-        for (t, s), a in m.items()
-        if maslov[t] - 2 * a != maslov[s] + shift
+        "iota' entry U^%d from %d to %d breaks the grading law" % (a, s, t)
+        for (t, s), a in fmap.items()
+        if maslov[t] - 2 * a != maslov[s]
     ]
     if not problems:
         if _compose(diff, diff):

@@ -4,19 +4,22 @@ sparse_homology is the one homology routine.  It takes the differential
 as an exponent map (one int a per entry, meaning U^a, as everywhere in
 cfku), checks d^2 = 0 on that map and runs one Gaussian elimination
 (eliminate) over all arrows.  Each step pivots on the entry U^a of
-lowest exponent in what remains; a unit pivot (a = 0) cancels an
-acyclic piece, and a pivot with a > 0 splits off a torsion summand
-F[U]/U^a.  Generators left with no arrows are the towers.  This is the
-structure theorem for free graded complexes over F[U] run as an
-algorithm (the reduction method of Kaczynski, Mischaikow and Mrozek,
-"Computational Homology").  The elimination keeps its inclusion and
-projection, so every summand comes with an explicit cycle representative
-in the original basis and a coordinate functional, and any cycle of the
-original complex can be rewritten in summand coordinates (needed for the
-image-of-Q tests in the involutive invariants).  The cycle check of
-class_coords runs on the original differential, since the projection
-can send a non-cycle to a cycle.  cone.cancel_units runs the same
-elimination with units_only, which stops after the unit pivots.
+lowest exponent in what remains; a unit pivot (a = 0) cancels an acyclic
+piece, and a pivot with a > 0 splits off a torsion summand F[U]/U^a.
+Generators left with no arrows are the towers.  eliminate checks the
+grading law M(t) - 2a = M(s) - 1 on every entry; the law fixes every
+exponent, so it works on F2 supports and reads the exponents off the
+gradings.  This is the structure theorem for free graded complexes over
+F[U] run as an algorithm (the reduction method of Kaczynski, Mischaikow
+and Mrozek, "Computational Homology").  The elimination keeps its
+inclusion and projection, so every summand comes with an explicit cycle
+representative in the original basis and a coordinate functional, and
+any cycle of the original complex can be rewritten in summand
+coordinates (needed for the image-of-Q tests in the involutive
+invariants).  The cycle check of class_coords runs on the original
+differential, since the projection can send a non-cycle to a cycle.
+cone.cancel_units runs the same elimination with units_only, which stops
+after the unit pivots.
 
 graded_homology is the dense front door: it takes one square matrix of
 F2[U] polynomials, checks d^2 = 0 on it, reads each entry as one
@@ -38,7 +41,6 @@ from .complexes import (
     SparseMap,
     SubquotientComplex,
     _compose,
-    add_shifted,
     subquotient,
 )
 
@@ -71,16 +73,18 @@ def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
 
 
 def eliminate(
-    diff: SparseMap, n: int, *, units_only: bool
+    diff: SparseMap, maslov: list[int], *, units_only: bool
 ) -> tuple[list[int], SparseMap, SparseMap, SparseMap, list[Summand]]:
     """Split pieces x -> U^a y off a differential by Gaussian elimination.
 
-    diff is a differential on n generators, one exponent per entry.  Each
-    step takes the entry d[y, x] = U^a of lowest exponent in the whole
-    remaining differential, ties broken by lowest source x, then lowest
-    target y; with units_only only U^0 entries are taken.  In the basis
-    y' = U^-a dx and s + U^-a d[y, s] x the piece x -> U^a y' splits off,
-    and with the inclusion and projection
+    diff is a differential on the n = len(maslov) generators, one
+    exponent per entry, and every entry U^a from s to t must meet the
+    grading law M(t) - 2a = M(s) - 1 with a >= 0, or ValueError names it.
+    Each step takes the entry d[y, x] = U^a of lowest exponent in the
+    whole remaining differential, ties broken by lowest source x, then
+    lowest target y; with units_only only U^0 entries are taken.  In the
+    basis y' = U^-a dx and s + U^-a d[y, s] x the piece x -> U^a y'
+    splits off, and with the inclusion and projection
 
         i(z) = z + U^-a d[y, z] x        p(w) = w + w_y U^-a d[:, x]
 
@@ -88,69 +92,95 @@ def eliminate(
     at least a, so the pivots come in nondecreasing order of a, and the
     U^0 pivots, which cancel acyclic pieces, come first.
 
+    The gradings fix every exponent, which is read off them at the end,
+    so only F2 supports are kept: columns and rows of d, columns of I and
+    rows of P are sets of indices, sums are symmetric differences, and a
+    pivot marks x and y gone instead of unlinking them.  The unit pivots
+    need no heap: sources are scanned in increasing order, and at x the
+    pivot is the lowest live target t with M(t) = M(x) - 1.  This is the
+    heap's order: a unit pivot (x, y) makes a unit entry (s, t) only out
+    of a unit entry (s, y), which (0, x, y) precedes, so s > x.  A heap
+    orders the pivots with a > 0, built from what the scan leaves; every
+    later exponent is at least the pivot's, so no unit entry comes back.
+
     Returns (keep, d', I, P, torsion): the surviving indices in increasing
     order, d' on positions in keep, the composite inclusion I with entries
     (original, kept), the composite projection P with entries (kept,
     original), and one (y, a, rep, functional) per pivot with a > 0, the
     summand F[U]/U^a on y' with representative I y' and coordinate
     functional row y of P, both {original: exponent}, as they stand at the
-    pivot.  Column k of I and row k of P are stored only once a pivot
-    first touches k; until then they are the identity entry {k: 0}.
-    Sums go through complexes.add_shifted, so an ungraded differential
-    raises ValueError.  Without units_only no arrow survives, and the
-    kept generators are the towers.
+    pivot.  Without units_only no arrow survives, and the kept generators
+    are the towers.
     """
-    cols: defaultdict[int, dict[int, int]] = defaultdict(dict)  # s -> {t: a}
-    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # t -> {s: a}
+    m, n = maslov, len(maslov)
+    cols: defaultdict[int, set[int]] = defaultdict(set)  # s -> targets of d s
+    rows: defaultdict[int, set[int]] = defaultdict(set)  # t -> sources into t
     for (t, s), a in diff.items():
-        cols[s][t] = rows[t][s] = a
-    inc: dict[int, dict[int, int]] = {}  # column k of I: {original: a}
-    proj: dict[int, dict[int, int]] = {}  # row k of P: {original: a}
+        if a < 0 or m[t] - 2 * a != m[s] - 1:
+            raise ValueError("entry U^%d from %d to %d breaks the grading law "
+                             "M(t) - 2a = M(s) - 1, a >= 0" % (a, s, t))
+        cols[s].add(t)
+        rows[t].add(s)
+    inc: dict[int, set[int]] = {}  # column k of I, once a pivot touches k
+    proj: dict[int, set[int]] = {}  # row k of P, likewise
     gone: set[int] = set()  # eliminated indices
-    torsion: list[Summand] = []
-    heap = [(a, s, t) for (t, s), a in diff.items() if a == 0 or not units_only]
-    heapq.heapify(heap)
-    while heap:
-        c, x, y = heapq.heappop(heap)
-        if x in gone or cols[x].get(y) != c:
-            continue  # eliminated or changed since it was queued
+    pieces: list[tuple[int, int, set[int], set[int]]] = []  # Summand, as sets
+    heap: list[tuple[int, int, int]] = []  # (a, s, t), once the scan is done
+
+    def pivot(x: int, y: int, c: int) -> None:
         gone.update((x, y))
-        dcol = {t: a - c for t, a in cols[x].items() if t != x and t != y}
-        drow = [(s, b - c) for s, b in rows[y].items() if s != x and s != y]
-        icol = inc.pop(x, None) or {x: 0}
-        iy = inc.pop(y, None) or {y: 0}
-        prow = proj.pop(y, None) or {y: 0}
+        dcol = cols.pop(x) - gone
+        drow = rows.pop(y) - gone
+        cols.pop(y, None)
+        rows.pop(x, None)
+        icol = inc.pop(x, None) or {x}
+        prow = proj.pop(y, None) or {y}
+        iy = inc.pop(y, None) or {y}
         proj.pop(x, None)
         if c:
-            rep = dict(iy)
-            for t, a in dcol.items():
-                add_shifted(rep, inc.get(t) or {t: 0}, a)
-            torsion.append((y, c, rep, prow))
-        for k in (x, y):
-            for t in cols.pop(k, {}):
-                del rows[t][k]
-            for s in rows.pop(k, {}):
-                del cols[s][k]
-        for s, b in drow:
-            col = cols[s]
-            add_shifted(col, dcol, b + c)
             for t in dcol:
-                e = col.get(t)
-                if e is None:
-                    del rows[t][s]
-                else:
-                    rows[t][s] = e
-                    if e == 0 or not units_only:
-                        heapq.heappush(heap, (e, s, t))
-            add_shifted(inc.setdefault(s, {s: 0}), icol, b)
-        for t, a in dcol.items():
-            add_shifted(proj.setdefault(t, {t: 0}), prow, a)
+                iy ^= inc.get(t) or {t}
+            pieces.append((y, c, iy, prow))
+        for s in drow:
+            col = cols[s]
+            if c:
+                for t in dcol - col:
+                    heapq.heappush(heap, ((m[t] - m[s] + 1) // 2, s, t))
+            col ^= dcol
+            inc.setdefault(s, {s}).symmetric_difference_update(icol)
+        for t in dcol:
+            proj.setdefault(t, {t}).symmetric_difference_update(prow)
+            if drow:
+                rows[t] ^= drow
+
+    for x in sorted(cols):
+        if x not in gone:
+            unit, y = m[x] - 1, n
+            for t in cols[x]:
+                if t < y and m[t] == unit and t not in gone:
+                    y = t
+            if y < n:
+                pivot(x, y, 0)
+    if not units_only:
+        heap += [((m[t] - m[s] + 1) // 2, s, t) for s, col in cols.items() for t in col - gone]
+        heapq.heapify(heap)
+    while heap:
+        c, x, y = heapq.heappop(heap)
+        if x not in gone and y not in gone and y in cols[x]:
+            pivot(x, y, c)
 
     keep = [k for k in range(n) if k not in gone]
     slot = {k: r for r, k in enumerate(keep)}
-    reduced = {(slot[t], slot[s]): a for s in keep for t, a in cols[s].items()}
-    i_map = {(o, slot[k]): e for k in keep for o, e in inc.get(k, {k: 0}).items()}
-    p_map = {(slot[k], o): e for k in keep for o, e in proj.get(k, {k: 0}).items()}
+    reduced = {
+        (slot[t], slot[s]): (m[t] - m[s] + 1) // 2
+        for s in keep for t in cols.get(s, ()) if t not in gone
+    }
+    i_map = {(o, slot[k]): (m[o] - m[k]) // 2 for k in keep for o in inc.get(k, (k,))}
+    p_map = {(slot[k], o): (m[k] - m[o]) // 2 for k in keep for o in proj.get(k, (k,))}
+    torsion = [
+        (y, c, {o: (m[o] - m[y]) // 2 for o in rep}, {o: (m[y] - m[o]) // 2 for o in f})
+        for y, c, rep, f in pieces
+    ]
     return keep, reduced, i_map, p_map, torsion
 
 
@@ -217,7 +247,7 @@ def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
     n = len(maslov)
     if _compose(diff, diff):
         raise ValueError("differential does not square to zero")
-    keep, _reduced, inc, proj, pieces = eliminate(diff, n, units_only=False)
+    keep, _reduced, inc, proj, pieces = eliminate(diff, maslov, units_only=False)
     towers: list[dict[int, int]] = [{} for _ in keep]
     functionals: list[dict[int, int]] = [{} for _ in keep]
     for (o, k), e in inc.items():

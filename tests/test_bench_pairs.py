@@ -11,8 +11,8 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 END_TO_END = [
-    {"name": "wall_s", "better": "lower"},
-    {"name": "rate", "better": "higher"},
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "rate", "better": "higher", "bound": 0.1},
 ]
 
 
@@ -74,3 +74,49 @@ def test_peak_rss_compared_over_the_passes_both_sides_ran():
     # records without per-pass values give no such comparison
     plain = [record(side, seed, 0.1, 1) for side in ("parent", "change") for seed in (1, 2)]
     assert "peak_rss_mb_same_passes" not in bench_pairs.summarise(plain, END_TO_END)["oracle"]
+
+
+def _pairs(parent, change):
+    """Runs of one oracle pair per seed, wall_s and rate both from the lists."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [record("parent", seed, p, p), record("change", seed, c, c)]
+    return bench_pairs.summarise(runs, END_TO_END)["oracle"]["metrics"]
+
+
+def test_gain_resolved_needs_nine_tenths_of_the_pairs_and_the_parent_spread():
+    parent = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.12, 1.14, 1.16, 1.18]
+    # parent q1 1.045, q3 1.135: a spread of 0.09
+    fast = [p - 0.2 for p in parent]
+    wall = _pairs(parent, fast)["wall_s"]
+    assert wall["change_wins"] == 10 and wall["gain_resolved"]
+    # the same medians with one pair lost and one tied: 8 of 10 wins
+    lost = fast[:8] + [parent[8], parent[9] + 0.5]
+    assert _pairs(parent, lost)["wall_s"]["change_wins"] == 8
+    assert not _pairs(parent, lost)["wall_s"]["gain_resolved"]
+    # 9 of 10 wins, and the median gain just inside the parent's spread
+    small = [p - 0.08 for p in parent[:9]] + [parent[9] + 0.1]
+    wall = _pairs(parent, small)["wall_s"]
+    assert wall["change_wins"] == 9 and not wall["gain_resolved"]
+    # 9 of 10 wins and a median gain beyond the spread
+    wall = _pairs(parent, [p - 0.1 for p in parent[:9]] + [parent[9] + 0.1])["wall_s"]
+    assert wall["change_wins"] == 9 and wall["gain_resolved"]
+    # higher is better for rate: the same lists are a resolved loss there
+    rate = _pairs(parent, fast)["rate"]
+    assert rate["change_wins"] == 0 and not rate["gain_resolved"]
+
+
+def test_within_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
+    parent = [1.0, 1.0, 1.0, 1.0]
+    metrics = _pairs(parent, [1.2] * 4)
+    # wall_s: 20% slower, bound 25%; rate: 20% higher, better
+    assert metrics["wall_s"]["within_bound"] and metrics["rate"]["within_bound"]
+    metrics = _pairs(parent, [1.3] * 4)
+    assert not metrics["wall_s"]["within_bound"] and metrics["rate"]["within_bound"]
+    metrics = _pairs(parent, [0.95] * 4)
+    # rate: 5% lower, bound 10%
+    assert metrics["wall_s"]["within_bound"] and metrics["rate"]["within_bound"]
+    metrics = _pairs(parent, [0.85] * 4)
+    assert not metrics["rate"]["within_bound"]
+    # a parent without spread: any median gain won in every pair resolves
+    assert metrics["wall_s"]["within_bound"] and metrics["wall_s"]["gain_resolved"]

@@ -9,19 +9,25 @@ checked up to isomorphism against a reference made of two Smith normal
 forms on the whole dense matrix (_two_pass_reference, which takes the
 inverse transforms from test_upoly._inverse), and its entry points
 cone_homology and homology_over_U against the dense front door
-graded_homology, over the worked examples and the pretzel cones.  The
+graded_homology, over the worked examples and the pretzel cones.
+eliminate must return exactly the tuple of _reference_eliminate, a
+heap-based elimination on exponent dicts that takes no gradings, on
+every one of those differentials and on random graded maps.  The
 bigraded rank tables for the three small knots are the standard
 published values.
 """
 
 import functools
+import heapq
 import logging
+from collections import defaultdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
+    add_shifted,
     build_staircase,
     dualize,
     figure_eight_complex,
@@ -102,6 +108,68 @@ def test_homology_torsion_pivot_fills_in():
     assert h.class_coords([0, 0, 1, 0]) == ([], [1, 1])
 
 
+def _reference_eliminate(diff, n, *, units_only):
+    """eliminate as it was before it read exponents off the gradings.
+
+    One heap orders every pivot by (a, x, y), the maps are exponent
+    dicts {index: a}, sums go through complexes.add_shifted, and a pivot
+    unlinks every entry of x and y.  It takes no gradings, and
+    eliminate(diff, maslov, ...) must return exactly its tuple.
+    """
+    cols = defaultdict(dict)  # s -> {t: a}
+    rows = defaultdict(dict)  # t -> {s: a}
+    for (t, s), a in diff.items():
+        cols[s][t] = rows[t][s] = a
+    inc = {}  # column k of I: {original: a}
+    proj = {}  # row k of P: {original: a}
+    gone = set()  # eliminated indices
+    torsion = []
+    heap = [(a, s, t) for (t, s), a in diff.items() if a == 0 or not units_only]
+    heapq.heapify(heap)
+    while heap:
+        c, x, y = heapq.heappop(heap)
+        if x in gone or cols[x].get(y) != c:
+            continue  # eliminated or changed since it was queued
+        gone.update((x, y))
+        dcol = {t: a - c for t, a in cols[x].items() if t != x and t != y}
+        drow = [(s, b - c) for s, b in rows[y].items() if s != x and s != y]
+        icol = inc.pop(x, None) or {x: 0}
+        iy = inc.pop(y, None) or {y: 0}
+        prow = proj.pop(y, None) or {y: 0}
+        proj.pop(x, None)
+        if c:
+            rep = dict(iy)
+            for t, a in dcol.items():
+                add_shifted(rep, inc.get(t) or {t: 0}, a)
+            torsion.append((y, c, rep, prow))
+        for k in (x, y):
+            for t in cols.pop(k, {}):
+                del rows[t][k]
+            for s in rows.pop(k, {}):
+                del cols[s][k]
+        for s, b in drow:
+            col = cols[s]
+            add_shifted(col, dcol, b + c)
+            for t in dcol:
+                e = col.get(t)
+                if e is None:
+                    del rows[t][s]
+                else:
+                    rows[t][s] = e
+                    if e == 0 or not units_only:
+                        heapq.heappush(heap, (e, s, t))
+            add_shifted(inc.setdefault(s, {s: 0}), icol, b)
+        for t, a in dcol.items():
+            add_shifted(proj.setdefault(t, {t: 0}), prow, a)
+
+    keep = [k for k in range(n) if k not in gone]
+    slot = {k: r for r, k in enumerate(keep)}
+    reduced = {(slot[t], slot[s]): a for s in keep for t, a in cols[s].items()}
+    i_map = {(o, slot[k]): e for k in keep for o, e in inc.get(k, {k: 0}).items()}
+    p_map = {(slot[k], o): e for k in keep for o, e in proj.get(k, {k: 0}).items()}
+    return keep, reduced, i_map, p_map, torsion
+
+
 def test_eliminate_exact_outputs():
     # d(g0) = g1 + g5, d(g2) = U g3 + U g1, and g4 alone; gradings
     # 1, 0, -1, 0, 0, 0.  The unit pivot g0 -> g1 turns g2 -> U g1 into
@@ -110,20 +178,72 @@ def test_eliminate_exact_outputs():
     # g3 + g5; g4 and g5 are the towers.  No pivot touches g4, so its
     # column of I and row of P are the identity entry.
     d = {(1, 0): 0, (5, 0): 0, (3, 2): 1, (1, 2): 1}
-    assert eliminate(d, 6, units_only=True) == (
+    assert eliminate(d, [1, 0, -1, 0, 0, 0], units_only=True) == (
         [2, 3, 4, 5],
         {(1, 0): 1, (3, 0): 1},
         {(2, 0): 0, (0, 0): 1, (3, 1): 0, (4, 2): 0, (5, 3): 0},
         {(0, 2): 0, (1, 3): 0, (2, 4): 0, (3, 5): 0, (3, 1): 0},
         [],
     )
-    keep, reduced, inc, proj, torsion = eliminate(d, 6, units_only=False)
+    keep, reduced, inc, proj, torsion = eliminate(d, [1, 0, -1, 0, 0, 0], units_only=False)
     assert (keep, reduced) == ([4, 5], {})
     assert inc == {(4, 0): 0, (5, 1): 0}
     assert proj == {(0, 4): 0, (1, 5): 0, (1, 1): 0, (1, 3): 0}
     assert torsion == [(3, 1, {3: 0, 5: 0}, {3: 0})]
     assert [(o, e) for (o, k), e in inc.items() if k == keep.index(4)] == [(4, 0)]
     assert [(o, e) for (k, o), e in proj.items() if k == keep.index(4)] == [(4, 0)]
+
+
+@st.composite
+def graded_maps(draw):
+    """(diff, maslov): up to 12 generators with gradings in -4..4 and any
+    subset of the entries U^a, a = (M(t) - M(s) + 1) / 2 >= 0, that the
+    grading law allows; d^2 need not vanish."""
+    maslov = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=12))
+    allowed = {
+        (t, s): (mt - ms + 1) // 2
+        for s, ms in enumerate(maslov)
+        for t, mt in enumerate(maslov)
+        if (mt - ms + 1) % 2 == 0 and mt - ms + 1 >= 0
+    }
+    chosen = draw(st.sets(st.sampled_from(sorted(allowed)))) if allowed else set()
+    return {key: allowed[key] for key in chosen}, maslov
+
+
+def _sparse(d):
+    """The exponent map of a dense matrix of monomials."""
+    return {(t, s): up.deg(p) for t, row in enumerate(d) for s, p in enumerate(row) if p}
+
+
+def test_eliminate_matches_reference_on_cancellation_inputs():
+    for d, maslov, _h in _cancellation_inputs():
+        diff = _sparse(d)
+        for units_only in (True, False):
+            assert eliminate(diff, maslov, units_only=units_only) == _reference_eliminate(
+                diff, len(maslov), units_only=units_only
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_maps(), st.booleans())
+def test_eliminate_matches_reference_on_graded_maps(case, units_only):
+    diff, maslov = case
+    assert eliminate(diff, maslov, units_only=units_only) == _reference_eliminate(
+        diff, len(maslov), units_only=units_only
+    )
+
+
+def test_eliminate_rejects_the_grading_law():
+    # U^1 from g0 to g1 on gradings 0, 0: M(t) - 2a = -2, M(s) - 1 = -1
+    law = r"entry U\^1 from 0 to 1 breaks the grading law M\(t\) - 2a = M\(s\) - 1"
+    for units_only in (True, False):
+        with pytest.raises(ValueError, match=law):
+            eliminate({(1, 0): 1}, [0, 0], units_only=units_only)
+    with pytest.raises(ValueError, match=law):
+        sparse_homology({(1, 0): 1}, [0, 0])
+    # a negative power is not a map over F2[U], whatever the gradings
+    with pytest.raises(ValueError, match=r"U\^-1 from 0 to 1"):
+        eliminate({(1, 0): -1}, [3, 0], units_only=False)
 
 
 def test_homology_rejects_d_squared():

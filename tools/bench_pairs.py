@@ -17,9 +17,10 @@ the parent.  With ``--trace-seed``, each workload also gets one
 The result is ``BENCH_<LABEL>.json`` in the current directory, with the
 keys about, command, parent, change, host, summary (per workload and
 end-to-end metric: each side's median and quartiles over its runs, the
-number of pairs the change wins, and the relative change of the
-median), traced and runs.  The end-to-end metrics and the direction in
-which each is better are read from the change tree's ``BENCHMARK.json``.
+number of pairs the change wins, the relative change of the median,
+and the verdicts ``gain_resolved`` and ``within_bound``), traced and
+runs.  The end-to-end metrics, the direction in which each is better
+and its bound are read from the change tree's ``BENCHMARK.json``.
 A run record also keeps the ``peak_rss_mb`` of each untraced pass, and
 the summary compares the two sides of a pair over the passes both ran
 (``peak_rss_mb_same_passes``): a pass process inherits the memory
@@ -96,7 +97,12 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     A pair is the parent's and the change's run of one seed; a run
     without its partner is left out.  The change wins a pair when its
     value is strictly better in the metric's direction, so ties count
-    for neither side.
+    for neither side.  The two verdicts follow the claim rule of a
+    paired benchmark: ``gain_resolved`` holds when the change wins at
+    least nine tenths of the pairs and its median is better than the
+    parent's by more than the parent's q3 - q1; ``within_bound`` holds
+    when the change's median is worse than the parent's by at most the
+    metric's ``bound``, a fraction of the parent's median.
     """
     plain = [r for r in runs if r["trace"] == 0]
     out = {}
@@ -111,14 +117,17 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             name = spec["name"]
             sign = 1 if spec["better"] == "lower" else -1
             values = {side: [by_seed[side][s]["metrics"][name] for s in seeds] for side in SIDES}
-            medians = {side: statistics.median(values[side]) for side in SIDES}
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            gain = sign * (parent["median"] - change["median"])
             metrics[name] = {
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
-                "change_wins": sum(
-                    sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])
-                ),
-                "change_vs_parent_median": medians["change"] / medians["parent"] - 1,
+                "parent": parent,
+                "change": change,
+                "change_wins": wins,
+                "change_vs_parent_median": change["median"] / parent["median"] - 1,
+                "gain_resolved": 10 * wins >= 9 * len(seeds)
+                and gain > parent["q3"] - parent["q1"],
+                "within_bound": -gain <= spec["bound"] * parent["median"],
             }
         out[workload] = {
             "seeds": seeds,
