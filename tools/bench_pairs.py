@@ -125,8 +125,9 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "change": change,
                 "change_wins": wins,
                 "change_vs_parent_median": change["median"] / parent["median"] - 1,
-                "gain_resolved": 10 * wins >= 9 * len(seeds)
-                and gain > parent["q3"] - parent["q1"],
+                "gain_resolved": (
+                    10 * wins >= 9 * len(seeds) and gain > parent["q3"] - parent["q1"]
+                ),
                 "within_bound": -gain <= spec["bound"] * parent["median"],
             }
         out[workload] = {
