@@ -28,11 +28,13 @@ Conventions used throughout:
   * Maslov gradings of staircases are normalized so the tower of
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
-Complexes are validated once, where they are built or read: in
-build_staircase and direct_sum here, and in render.complex_from_json.
-A C2-C4 model complex is its staircase, so build_staircase's check is
-its only one; the staircase of a C1 model complex or of a full complex
-comes unchecked from _staircase, since direct_sum checks the sum.
+Complexes are validated once, where they are built or read: through
+require_valid in build_staircase and direct_sum here and in
+pretzel.full_complex, and in render.complex_from_json.  A C2-C4 model
+complex is its staircase, so build_staircase's check is its only one;
+the staircase of a C1 model complex or of a full complex comes
+unchecked from _staircase, and the full complex's boxes are appended to
+it in place by add_box, since the sum gets the one check.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;
@@ -179,6 +181,14 @@ def validate(c: FilteredComplex) -> list[str]:
 # Constructors
 
 
+def require_valid(c: FilteredComplex, what: str) -> FilteredComplex:
+    """c, once validate finds nothing; else ValueError naming what c is."""
+    problems = validate(c)
+    if problems:
+        raise ValueError("%s invalid: %s" % (what, problems))
+    return c
+
+
 def build_staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     """Staircase with the given top-half step lengths, z_v first, validated.
 
@@ -187,16 +197,16 @@ def build_staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex
     tower of H(B0-) sits in grading 0: sources sit in grading 2 n(K) on a
     negative staircase and 1 - 2 n(K) on a positive one, sinks one lower.
     """
-    c = _staircase(sign, step_lengths)
-    problems = validate(c)
-    if problems:
-        raise ValueError("staircase invalid: %s" % problems)
-    return c
+    return require_valid(_staircase(sign, step_lengths), "staircase")
 
 
 def _staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     """build_staircase without its validation, for a staircase that is
-    about to be checked as a summand of direct_sum."""
+    about to be checked as a summand.
+
+    z0 is generator 0 and z_r^side is generator 2r - 2 + side, so every
+    arrow is written by index as its source is laid out.
+    """
     if sign not in ("positive", "negative"):
         raise ValueError("sign must be positive or negative")
     if not step_lengths:
@@ -204,56 +214,30 @@ def _staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     if any(l <= 0 for l in step_lengths):
         raise ValueError("step lengths must be positive")
     v = len(step_lengths)
-    lengths = {r: step_lengths[v - r] for r in range(1, v + 1)}  # l_r, r from z0 out
-
-    def is_source(r: int) -> bool:
-        return (r % 2 == v % 2) == (sign == "negative")
-
-    # walk the upper-left path, where step r is vertical exactly when z_r
-    # is a source; side 2 is the transpose
-    pos1 = {0: (0, 0)}
-    for r in range(1, v + 1):
-        i, j = pos1[r - 1]
-        if is_source(r):
-            pos1[r] = (i, j + lengths[r])
-        else:
-            pos1[r] = (i - lengths[r], j)
-
-    gens = []
-    index = {}
-
-    def add(label, m, i, j):
-        index[label] = len(gens)
-        gens.append(Generator(label, m, i, j))
-
+    negative = sign == "negative"
     nk = staircase_n_of_k(step_lengths)
-    top = 2 * nk if sign == "negative" else 1 - 2 * nk
-    add("z0", top if is_source(0) else top - 1, 0, 0)
+    top = 2 * nk if negative else 1 - 2 * nk
+    # z_r is a source exactly when r has the parity of v on a negative
+    # staircase, and the other parity on a positive one
+    source = [(r % 2 == v % 2) == negative for r in range(v + 1)]
+    gens = [Generator("z0", top if source[0] else top - 1, 0, 0)]
+    diff: SparseMap = {(1, 0): 0, (2, 0): 0} if source[0] else {}
+    i = j = 0
     for r in range(1, v + 1):
-        m = top if is_source(r) else top - 1
-        i, j = pos1[r]
-        add("z%d_1" % r, m, i, j)
-        add("z%d_2" % r, m, j, i)
-
-    diff: SparseMap = {}
-
-    def arrow(src, tgt):
-        diff[(index[tgt], index[src])] = 0
-
-    for r in range(0, v + 1):
-        if not is_source(r):
-            continue
-        if r == 0:
-            arrow("z0", "z1_1")
-            arrow("z0", "z1_2")
-            continue
-        for side in (1, 2):
-            src = "z%d_%d" % (r, side)
-            below = "z0" if r == 1 else "z%d_%d" % (r - 1, side)
-            arrow(src, below)
-            if r < v:
-                arrow(src, "z%d_%d" % (r + 1, side))
-
+        # walk the upper-left path, where step r is vertical exactly when
+        # z_r is a source; side 2 is the transpose
+        if source[r]:
+            j += step_lengths[v - r]
+        else:
+            i -= step_lengths[v - r]
+        m = top if source[r] else top - 1
+        gens.append(Generator("z%d_1" % r, m, i, j))
+        gens.append(Generator("z%d_2" % r, m, j, i))
+        if source[r]:
+            for s in (2 * r - 1, 2 * r):
+                diff[(s - 2 if r > 1 else 0, s)] = 0
+                if r < v:
+                    diff[(s + 2, s)] = 0
     return FilteredComplex(gens, diff)
 
 
@@ -264,10 +248,14 @@ def staircase_n_of_k(step_lengths: tuple[int, ...]) -> int:
     return sum(l for r, l in enumerate(reversed(step_lengths), start=1) if r % 2 == v % 2)
 
 
-def build_box(
-    diagonal_corner: tuple[int, int], a_maslov: int | None = None, suffix: str = ""
-) -> FilteredComplex:
-    """Acyclic one-by-one box with inner corner at the given position.
+def add_box(
+    c: FilteredComplex,
+    diagonal_corner: tuple[int, int],
+    a_maslov: int | None = None,
+    suffix: str = "",
+) -> None:
+    """Append to c, in place and unchecked, the acyclic one-by-one box
+    with inner corner at the given position.
 
     Generators a, b, c and the corner generator ue (the U-translate the
     figures label Ue sits one diagonal step further in).  Differentials
@@ -275,14 +263,23 @@ def build_box(
     """
     i, j = diagonal_corner
     ma = i + j + 2 if a_maslov is None else a_maslov
-    gens = [
+    k = len(c.gens)
+    c.gens += (
         Generator("a" + suffix, ma, i + 1, j + 1),
         Generator("b" + suffix, ma - 1, i, j + 1),
         Generator("c" + suffix, ma - 1, i + 1, j),
         Generator("ue" + suffix, ma - 2, i, j),
-    ]
-    diff = {(1, 0): 0, (2, 0): 0, (3, 1): 0, (3, 2): 0}
-    return FilteredComplex(gens, diff)
+    )
+    c.diff.update({(k + 1, k): 0, (k + 2, k): 0, (k + 3, k + 1): 0, (k + 3, k + 2): 0})
+
+
+def build_box(
+    diagonal_corner: tuple[int, int], a_maslov: int | None = None, suffix: str = ""
+) -> FilteredComplex:
+    """The box of add_box on its own, unchecked."""
+    c = FilteredComplex([])
+    add_box(c, diagonal_corner, a_maslov, suffix)
+    return c
 
 
 def build_lspace_staircase(ws: tuple[int, ...]) -> tuple[FilteredComplex, int]:
@@ -304,7 +301,7 @@ def dualize(c: FilteredComplex) -> FilteredComplex:
     """Mirror complex: gradings and positions negate, arrows transpose.
 
     Generator order and labels are kept; c is taken as valid."""
-    gens = [Generator(g.label, -g.maslov, -g.i, -g.j) for g in c.gens]
+    gens = [Generator(label, -maslov, -i, -j) for label, maslov, i, j in c.gens]
     diff = {(s, t): a for (t, s), a in c.diff.items()}
     return FilteredComplex(gens, diff)
 
@@ -319,11 +316,7 @@ def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
         for (t, s), a in c.diff.items():
             diff[(t + offset, s + offset)] = a
         offset += len(c.gens)
-    out = FilteredComplex(gens, diff)
-    problems = validate(out)
-    if problems:
-        raise ValueError("direct sum invalid: %s" % problems)
-    return out
+    return require_valid(FilteredComplex(gens, diff), "direct sum")
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +326,12 @@ def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
 def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> SubquotientComplex:
     """The F2[U]-complex of a plane region.
 
-    A0minus: C{i<=0, j<=0}; B0minus: C{i<=0}; i_equals_0: the quotient
-    complex C{i<=0}/C{i<0}; i0_j_w: its direct summand on the diagonal
-    j - i = w.  The basis element for generator x is U^k0 x with the
-    minimal translate meeting the region; k0 may be negative.
+    A0minus: C{i<=0, j<=0}; B0minus: C{i<=0}; i0_j_w: the direct summand
+    on the diagonal j - i = w of the quotient complex C{i<=0}/C{i<0}.
+    The basis element for generator x is U^k0 x with the minimal
+    translate meeting the region; k0 may be negative.
     """
-    if region not in ("A0minus", "B0minus", "i_equals_0", "i0_j_w"):
+    if region not in ("A0minus", "B0minus", "i0_j_w"):
         raise ValueError("unknown region %r" % region)
     if region == "i0_j_w" and w is None:
         raise ValueError("region i0_j_w needs the diagonal w")

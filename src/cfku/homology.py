@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import upoly as up
@@ -336,38 +336,38 @@ def _f2_rank(rows: list[int]) -> int:
 def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     """Bigraded ranks: (alexander w, maslov k) -> rank of H(C{i=0, j=w}).
 
-    One i = 0 subquotient is split by diagonal j - i: its arrows whose
-    ends share a diagonal are exactly those of the i0_j_w summands.
+    Read straight off c: the i = 0 slice holds U^i x for each generator
+    x, on the diagonal j - i in grading M - 2i, and an arrow U^a from s
+    to t survives the quotient by C{i<0} when i_t = i_s + a.  Only the
+    arrows whose ends share a diagonal, those of the i0_j_w summands,
+    enter the boundary ranks, which are taken only for the (diagonal,
+    grading) blocks that have arrows.
     """
-    sq = subquotient(c, "i_equals_0")
-    diag = [c.gens[g].j - c.gens[g].i for g, _k0 in sq.basis]
-    targets_of: dict[int, list[int]] = {}
-    for t, s in sq.diff:
-        if diag[t] == diag[s]:
-            targets_of.setdefault(s, []).append(t)
-    # diagonal -> grading -> basis indices
-    by_diag: dict[int, dict[int, list[int]]] = {}
-    for idx, (w, m) in enumerate(zip(diag, sq.maslov)):
-        by_diag.setdefault(w, {}).setdefault(m, []).append(idx)
+    gens = c.gens
+    where = [(j - i, m - 2 * i) for _label, m, i, j in gens]
+    counts = Counter(where)
+    # (diagonal, grading) of the sources -> source -> targets, one grading lower
+    blocks: dict[tuple[int, int], dict[int, list[int]]] = {}
+    for (t, s), a in c.diff.items():
+        _ls, _ms, si, sj = gens[s]
+        _lt, _mt, ti, tj = gens[t]
+        if ti == si + a and tj - ti == sj - si:
+            blocks.setdefault(where[s], {}).setdefault(s, []).append(t)
+    ranks: dict[tuple[int, int], int] = {}
+    for key, targets_of in blocks.items():
+        tpos: dict[int, int] = {}
+        rows = []
+        for targets in targets_of.values():
+            row = 0
+            for t in targets:
+                row |= 1 << tpos.setdefault(t, len(tpos))
+            rows.append(row)
+        ranks[key] = _f2_rank(rows)
     table: dict[tuple[int, int], int] = {}
-    for w in sorted(by_diag):
-        gens_at = by_diag[w]
-        # boundary blocks from grading k to k-1; entries are all U^0 here
-        ranks: dict[int, int] = {}
-        for k, sources in gens_at.items():
-            targets = gens_at.get(k - 1, [])
-            tpos = {t: b for b, t in enumerate(targets)}
-            rows = []
-            for s in sources:
-                row = 0
-                for t in targets_of.get(s, ()):
-                    row |= 1 << tpos[t]
-                rows.append(row)
-            ranks[k] = _f2_rank(rows)
-        for k, gens in gens_at.items():
-            rank = len(gens) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            if rank:
-                table[(w, k)] = rank
+    for (w, k), count in sorted(counts.items()):
+        rank = count - ranks.get((w, k), 0) - ranks.get((w, k + 1), 0)
+        if rank:
+            table[(w, k)] = rank
     return table
 
 

@@ -189,7 +189,7 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     if (
         len(dual_c.gens) != len(c.gens)
         or len(dual_c.diff) != len(c.diff)
-        or any(d != (g.label, -g.maslov, -g.i, -g.j) for d, g in zip(dual_c.gens, c.gens))
+        or any(d != (lab, -m, -i, -j) for d, (lab, m, i, j) in zip(dual_c.gens, c.gens))
         or any(c.diff.get((s, t)) != a for (t, s), a in dual_c.diff.items())
     ):
         raise ValueError("dual_involution needs the dual of the involution's complex")

@@ -6,8 +6,8 @@ closed form; the deep checks of report_dict tie them to the expected
 rank table.  The four model families differ in whether a box sits
 unpaired on the main diagonal and in the reflection behaviour of the
 staircase ends.  A model is defined by its staircase steps and, for C1,
-its box, so many pairs share one; model_triple computes each model's
-invariants once per process.
+its box, so many pairs share one; model_triple builds and validates each
+model once per process and reduces it in both chiralities.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from .complexes import (
     FilteredComplex,
     _staircase,
+    add_box,
     build_box,
     build_staircase,
     direct_sum,
     dualize,
+    require_valid,
     staircase_n_of_k,
 )
 from .cone import involutive_invariants
@@ -86,6 +88,7 @@ class ModelSpec:
     v: int
     n_of_k: int
     main_diag_boxes: int  # the unpaired main-diagonal box: 1 for C1, else 0
+    boxes: dict[int, int]  # box_multiplicities of the pair
 
 
 FAMILIES = {(1, 1): "C1", (3, 1): "C2", (3, 3): "C3", (1, 3): "C4"}
@@ -107,7 +110,7 @@ def classify(params: PretzelParams) -> ModelSpec:
             "%d main-diagonal boxes have the wrong parity for %s"
             % (mults.get(0, 0), family)
         )
-    return ModelSpec(family, v, n_of_k, main)
+    return ModelSpec(family, v, n_of_k, main, mults)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +157,9 @@ def expected_alexander(params: PretzelParams) -> dict[int, int]:
 
 
 def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
-    """Staircase plus the given boxes; suffixes _d, _p{s}, _m{s} per corner."""
-    parts = [_staircase("negative", params.steps)]
+    """Staircase plus the given boxes, appended in place and validated
+    once as their direct sum; suffixes _d, _p{s}, _m{s} per corner."""
+    c = _staircase("negative", params.steps)
     g = params.g
     for s in sorted(mults, reverse=True):
         if s < 0:
@@ -167,15 +171,11 @@ def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
         ma = ci + cj + g + 1
         for t in range(1, mults[s] + 1):
             if s == 0:
-                parts.append(build_box((ci, cj), a_maslov=ma, suffix="_d%d" % t))
+                add_box(c, (ci, cj), ma, "_d%d" % t)
             else:
-                parts.append(
-                    build_box((ci, cj), a_maslov=ma, suffix="_p%d_%d" % (s, t))
-                )
-                parts.append(
-                    build_box((cj, ci), a_maslov=ma, suffix="_m%d_%d" % (s, t))
-                )
-    return direct_sum(parts)
+                add_box(c, (ci, cj), ma, "_p%d_%d" % (s, t))
+                add_box(c, (cj, ci), ma, "_m%d_%d" % (s, t))
+    return require_valid(c, "direct sum")
 
 
 def box_multiplicities(params: PretzelParams) -> dict[int, int]:
@@ -242,7 +242,7 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     """Reflection on the staircase, square maps on paired boxes, and the
     C1 staircase/box coupling on the one unpaired box."""
     spec = classify(params)
-    mults = box_multiplicities(params)
+    mults = spec.boxes
     slot = c.indices()
     rules = staircase_reflection_rules(c, slot=slot)
     if spec.main_diag_boxes:
@@ -333,16 +333,16 @@ def theorem_values(params: PretzelParams, mirrored: bool = False) -> InvariantRe
     else:
         triple = (nk, nk + 1, nk)
     return InvariantReport(
-        params.m, params.n, mirrored, spec.family, spec.v, nk,
-        box_multiplicities(params), *triple,
+        params.m, params.n, mirrored, spec.family, spec.v, nk, spec.boxes, *triple,
     )
 
 
 def _chirality(
     c: FilteredComplex, iota: Involution, mirrored: bool
 ) -> tuple[FilteredComplex, Involution]:
-    """(c, iota), or its dual for the mirror.  Callers rebind both names,
-    so the primal objects are freed before the invariants are computed."""
+    """(c, iota), or its dual for the mirror.  The full path rebinds both
+    names, so the primal objects are freed before the invariants are
+    computed."""
     if mirrored:
         c = dualize(c)
         iota = dual_involution(iota, c)
@@ -351,22 +351,26 @@ def _chirality(
 
 @functools.cache
 def model_triple(
-    steps: tuple[int, ...], box_maslov: int | None, mirrored: bool
-) -> tuple[int, int, int]:
-    """(V0, lower V0, upper V0) of the model defined by its arguments.
+    steps: tuple[int, ...], box_maslov: int | None
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(V0, lower V0, upper V0) of the model defined by its arguments,
+    for the knot and for its mirror.
 
     The model is the negative staircase with these steps and, when
     box_maslov is given (family C1), the main-diagonal box with its
     coupling laid over the reflection; C2-C4 carry the reflection alone,
-    so they share a key.  The complex and the involution are validated
-    where they are built.  Many pairs share a model, so the triple is
-    cached on exactly these arguments, at most four entries per m + n.
-    Only the triple is kept, never a complex or an involution, which
-    relabel could change in place.
+    so they share a key.  The complex and the involution are built and
+    validated once, and the mirror is their dual through _chirality.
+    Many pairs share a model, so the pair of triples is cached on
+    exactly these arguments, at most two entries per m + n.  Only the
+    triples are kept, never a complex or an involution, which relabel
+    could change in place.  A call for one chirality so also reduces
+    the other: about 0.5 ms at m + n = 42, against about 200 ms for one
+    cfku invariants process to start and import cfku.
     """
     c = _model(steps, box_maslov)
-    c, iota = _chirality(c, model_involution("C2" if box_maslov is None else "C1", c), mirrored)
-    return involutive_invariants(c, iota)
+    iota = model_involution("C2" if box_maslov is None else "C1", c)
+    return involutive_invariants(c, iota), involutive_invariants(*_chirality(c, iota, True))
 
 
 def compute_invariants(
@@ -375,17 +379,17 @@ def compute_invariants(
     """Full pipeline: complex, involution, A0-, cone, correction terms.
 
     The model path classifies the pair on every call, which checks n(K)
-    and the box parity, and takes the triple from model_triple."""
+    and the box parity, and takes the triple of its chirality from
+    model_triple."""
     spec = classify(params)
     if use_full:
         c = full_complex(params)
         c, iota = _chirality(c, full_involution(params, c), mirrored)
         triple = involutive_invariants(c, iota)
     else:
-        triple = model_triple(params.steps, _box_maslov(params, spec), mirrored)
+        triple = model_triple(params.steps, _box_maslov(params, spec))[mirrored]
     return InvariantReport(
-        params.m, params.n, mirrored, spec.family, spec.v, spec.n_of_k,
-        box_multiplicities(params), *triple,
+        params.m, params.n, mirrored, spec.family, spec.v, spec.n_of_k, spec.boxes, *triple,
     )
 
 

@@ -5,6 +5,7 @@ random staircases serve as property fodder for the validator, the dual,
 and the B0- normalization.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from cfku import upoly as up
 from cfku.complexes import (
     FilteredComplex,
     Generator,
+    _staircase,
     add_shifted,
     build_box,
     build_lspace_staircase,
@@ -249,6 +251,62 @@ def test_staircase_properties(sign, steps):
 
     h = homology_over_U(subquotient(c, "B0minus"))
     assert [g for g, _ in h.free] == [0]
+
+
+def _reference_staircase(sign, step_lengths):
+    """_staircase as a walk over labels: generators and arrows are named
+    z0, z{r}_{side} and turned into indices through a label dict."""
+    v = len(step_lengths)
+    lengths = {r: step_lengths[v - r] for r in range(1, v + 1)}
+
+    def is_source(r):
+        return (r % 2 == v % 2) == (sign == "negative")
+
+    pos1 = {0: (0, 0)}
+    for r in range(1, v + 1):
+        i, j = pos1[r - 1]
+        pos1[r] = (i, j + lengths[r]) if is_source(r) else (i - lengths[r], j)
+    gens, index = [], {}
+
+    def add(label, m, i, j):
+        index[label] = len(gens)
+        gens.append(Generator(label, m, i, j))
+
+    nk = staircase_n_of_k(step_lengths)
+    top = 2 * nk if sign == "negative" else 1 - 2 * nk
+    add("z0", top if is_source(0) else top - 1, 0, 0)
+    for r in range(1, v + 1):
+        m = top if is_source(r) else top - 1
+        i, j = pos1[r]
+        add("z%d_1" % r, m, i, j)
+        add("z%d_2" % r, m, j, i)
+    diff = {}
+
+    def arrow(src, tgt):
+        diff[(index[tgt], index[src])] = 0
+
+    for r in range(0, v + 1):
+        if not is_source(r):
+            continue
+        if r == 0:
+            arrow("z0", "z1_1")
+            arrow("z0", "z1_2")
+            continue
+        for side in (1, 2):
+            src = "z%d_%d" % (r, side)
+            arrow(src, "z0" if r == 1 else "z%d_%d" % (r - 1, side))
+            if r < v:
+                arrow(src, "z%d_%d" % (r + 1, side))
+    return FilteredComplex(gens, diff)
+
+
+def test_staircase_by_index_matches_the_label_walk():
+    for v in range(1, 6):
+        for steps in itertools.product((1, 2, 3), repeat=v):
+            for sign in ("positive", "negative"):
+                c, ref = _staircase(sign, steps), _reference_staircase(sign, steps)
+                assert c.gens == ref.gens, (sign, steps)
+                assert list(c.diff.items()) == list(ref.diff.items()), (sign, steps)
 
 
 @given(signs, steps_strategy)

@@ -27,8 +27,12 @@ from hypothesis import given, settings, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
+    FilteredComplex,
+    Generator,
     add_shifted,
+    build_box,
     build_staircase,
+    direct_sum,
     dualize,
     figure_eight_complex,
     left_trefoil_complex,
@@ -480,6 +484,19 @@ def test_hfk_hat_matches_per_diagonal():
             params = PretzelParams(m, n)
             for c in (model_complex(params), full_complex(params)):
                 examples += [c, dualize(c)]
+    # arrows U^1: dx = U y stays in the i = 0 slice and on its diagonal,
+    # dx' = U y' leaves the slice, and in a box whose corner sits one
+    # U-step out, db = dc = U ue stay in the slice across diagonals
+    pairs = FilteredComplex(
+        [Generator("x", 1, 0, 0), Generator("y", 2, 1, 1),
+         Generator("x'", 1, 0, 0), Generator("y'", 2, 0, 1)],
+        {(1, 0): 1, (3, 2): 1},
+    )
+    box = build_box((0, 0))
+    box.gens[3] = Generator("ue", 2, 1, 1)
+    box.diff.update({(3, 1): 1, (3, 2): 1})
+    examples += [pairs, box, direct_sum([pairs, box])]
+    assert hfk_hat(pairs) == {(1, 2): 1, (0, 1): 1}
     for c in examples:
         assert hfk_hat(c) == _hfk_hat_per_diagonal(c)
 

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from cfku import cli, complexes, pretzel
-from cfku.complexes import build_staircase, dualize, validate
+from cfku.complexes import _staircase, build_box, build_staircase, direct_sum, dualize, validate
 from cfku.cone import involutive_invariants
 from cfku.involution import dual_involution, validate_involution
 from cfku.pretzel import (
@@ -308,6 +308,40 @@ def test_each_pretzel_complex_is_validated_once(monkeypatch):
     assert calls == [len(c.gens)]
 
 
+def _summed_full_complex(params):
+    """The full complex as direct_sum of separately built summands: the
+    staircase, then each diagonal s >= 0 from the top, each box of it
+    at corner (ci, cj) and, off the main diagonal, its mirror."""
+    parts = [_staircase("negative", params.steps)]
+    mults = box_multiplicities(params)
+    for s in sorted((s for s in mults if s >= 0), reverse=True):
+        ci = -1 - s // 2
+        cj = s + ci
+        ma = ci + cj + params.g + 1
+        for t in range(1, mults[s] + 1):
+            if s == 0:
+                parts.append(build_box((ci, cj), a_maslov=ma, suffix="_d%d" % t))
+            else:
+                parts.append(build_box((ci, cj), a_maslov=ma, suffix="_p%d_%d" % (s, t)))
+                parts.append(build_box((cj, ci), a_maslov=ma, suffix="_m%d_%d" % (s, t)))
+    return direct_sum(parts)
+
+
+def test_full_complex_assembled_in_place_equals_the_direct_sum():
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            c, ref = full_complex(params), _summed_full_complex(params)
+            assert c.gens == ref.gens, (m, n)
+            assert list(c.diff.items()) == list(ref.diff.items()), (m, n)
+
+
+def test_classify_carries_the_box_counts():
+    for m, n in SMALL_PAIRS:
+        params = PretzelParams(m, n)
+        assert classify(params).boxes == box_multiplicities(params)
+
+
 def _model_key(params):
     """What defines the model: its steps and, for C1, the box grading."""
     return params.steps, params.g - 1 if classify(params).family == "C1" else None
@@ -330,14 +364,15 @@ def test_model_triple_matches_an_uncached_run():
             c = model_complex(params)
             iota = model_involution_for(params, c)
             d = dualize(c)
-            fresh = {
-                False: involutive_invariants(c, iota),
-                True: involutive_invariants(d, dual_involution(iota, d)),
-            }
-            for mirrored, want in fresh.items():
-                assert model_triple(*_model_key(params), mirrored) == want, (m, n, mirrored)
+            fresh = (
+                involutive_invariants(c, iota),
+                involutive_invariants(d, dual_involution(iota, d)),
+            )
+            assert model_triple(*_model_key(params)) == fresh, (m, n)
+            for mirrored in (False, True):
+                want = fresh[mirrored]
                 assert compute_invariants(params, mirrored).triple == want, (m, n, mirrored)
-    assert model_triple.cache_info().currsize == 2 * len(_pairs_by_key(41))
+    assert model_triple.cache_info().currsize == len(_pairs_by_key(41))
 
 
 def test_pairs_sharing_a_key_build_identical_models():
@@ -364,8 +399,10 @@ def test_classify_runs_on_every_call_to_the_memo(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="cfku.cone"):
         compute_invariants(PretzelParams(7, 5))
         compute_invariants(PretzelParams(9, 3))  # same steps, also no box
-    assert model_triple.cache_info()[:2] == (1, 1)  # hits, misses
-    assert [r.getMessage()[:4] for r in caplog.records] == ["A0-:"]
+        compute_invariants(PretzelParams(9, 3), mirrored=True)  # reduced with the knot
+    assert model_triple.cache_info()[:2] == (2, 1)  # hits, misses
+    # one model, reduced once in each chirality
+    assert [r.getMessage()[:4] for r in caplog.records] == ["A0-:", "A0-:"]
     monkeypatch.setattr(pretzel, "box_multiplicities", lambda p: {0: 1})
     with pytest.raises(ValueError, match="parity"):
         compute_invariants(PretzelParams(7, 5))
