@@ -141,7 +141,7 @@ def cmd_verify(parser, args) -> int:
             cases.append((m, n, False, True))
             cases.append((m, n, True, False))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
             reports = _collect(pool.map(_verify_case, cases))
     else:
         reports = _collect(map(_verify_case, cases))

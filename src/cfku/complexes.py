@@ -25,16 +25,20 @@ Conventions used throughout:
   * Staircase generators are z0, z_r^1 (upper-left path) and z_r^2
     (its transpose); step r joins z_{r-1} to z_r and the constructor
     takes the step lengths of the top half listed from z_v inward.
+  * Generators are laid out by index, and every builder and check
+    works on indices: z0 at 0, z_r^side at 2r - 2 + side, and a box
+    appended at k has a, b, c, ue at k..k+3.  Labels serve printing
+    (and naming generators in JSON and messages) only.
   * Maslov gradings of staircases are normalized so the tower of
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
 Complexes are validated once, where they are built or read: through
-require_valid in build_staircase and direct_sum here and in
-pretzel.full_complex, and in render.complex_from_json.  A C2-C4 model
-complex is its staircase, so build_staircase's check is its only one;
-the staircase of a C1 model complex or of a full complex comes
-unchecked from _staircase, and the full complex's boxes are appended to
-it in place by add_box, since the sum gets the one check.
+require_valid in build_staircase and direct_sum here and in pretzel's
+model and full complexes, and in render.complex_from_json.  A C2-C4
+model complex is its staircase, so build_staircase's check is its only
+one; the staircase of a C1 model complex or of a full complex comes
+unchecked from _staircase, and its boxes are appended to it in place by
+add_box, since the sum gets the one check.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;

@@ -1,9 +1,16 @@
 """Skew-filtered involutions squaring to the Sarkar map.
 
 An involution is a complex and one explicit matrix iota on it, never a
-rule.  The validator is the sole source of truth, because the printed
-formula lists these maps come from are easy to mistranscribe.  It checks
-the grading law of shift 0 and the exact transposed slot on every entry
+rule.  The builders write the matrix by index, straight from the layout
+complexes._staircase and add_box build: z0 at 0, z_r^side at
+2r - 2 + side, and the a, b, c and ue of a box at k, k + 1, k + 2 and
+k + 3.  reflection, square_pair and c1_coupling are the three pieces,
+and staircase_with_boxes lays them side by side.  No builder reads a
+label; labels serve printing only.
+
+The validator is the sole source of truth, because the printed formula
+lists these maps come from are easy to mistranscribe.  It checks the
+grading law of shift 0 and the exact transposed slot on every entry
 (the slot implies the skew-filtration), iota d = d iota, and iota^2 =
 sarkar(c), the Sarkar map 1 + U^-1 Phi Psi, computed there and not
 stored.  It runs once, in involution_from_rules.  The involution of a
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FilteredComplex, SparseMap, _compose, add_term, sarkar
+from .complexes import FilteredComplex, SparseMap, _compose, sarkar
 
 
 @dataclass
@@ -24,38 +31,21 @@ class Involution:
     matrix: SparseMap
 
 
-Rules = dict[str, list[tuple[str, int]]]
+def involution_from_rules(c: FilteredComplex, rules: SparseMap) -> Involution:
+    """The involution of c with matrix rules, {(target, source): a} for
+    the entry U^a, once it is validated.
 
-
-def involution_from_rules(
-    c: FilteredComplex, rules: Rules, slot: dict[str, int] | None = None
-) -> Involution:
-    """Build iota from label rules {source: [(target, U-exponent), ...]}.
-
-    Every generator must get a rule, and a rule may name only labels of
-    c.  The result is validated; a failing rule set raises with the
-    violation list.  slot is c.indices(); callers that already hold it
-    pass it in.
+    Every index must be a generator of c and every generator must have
+    an image; a matrix that breaks a law raises with the violation list.
     """
-    matrix: SparseMap = {}
-    seen = set()
-    if slot is None:
-        slot = c.indices()
-    try:
-        for src, targets in rules.items():
-            s = slot[src]
-            seen.add(src)
-            for tgt, e in targets:
-                add_term(matrix, (slot[tgt], s), e)
-    except KeyError as missing_label:
-        raise ValueError(
-            "involution rule names %r, which is not a generator of the complex"
-            % missing_label.args[0]
-        ) from None
-    missing = {g.label for g in c.gens} - seen
+    n = len(c.gens)
+    outside = sorted({k for key in rules for k in key if not 0 <= k < n})
+    if outside:
+        raise ValueError("involution names indices %s, not generators of the complex" % outside)
+    missing = set(range(n)) - {s for _t, s in rules}
     if missing:
-        raise ValueError("no involution rule for %s" % sorted(missing))
-    iota = Involution(c, matrix)
+        raise ValueError("no involution image for %s" % sorted(c.gens[k].label for k in missing))
+    iota = Involution(c, rules)
     problems = validate_involution(iota)
     if problems:
         raise ValueError("invalid involution: %s" % problems)
@@ -90,90 +80,65 @@ def validate_involution(iota: Involution) -> list[str]:
     return problems
 
 
-def staircase_reflection_rules(
-    c: FilteredComplex, slot: dict[str, int] | None = None
-) -> Rules:
-    """Reflection across i = j: z0 is fixed, and z_r^1 and z_r^2 swap for
-    r = 1, 2, ... while both are in c.
+def reflection(v: int) -> SparseMap:
+    """Reflection across i = j of a staircase with v steps a side: z0 is
+    fixed, and z_r^1 and z_r^2 swap."""
+    f = {(0, 0): 0}
+    for r in range(1, v + 1):
+        f[(2 * r, 2 * r - 1)] = f[(2 * r - 1, 2 * r)] = 0
+    return f
 
-    A complex without z0 raises; a generator the walk does not reach is
-    left without a rule, which involution_from_rules rejects.  slot is
-    c.indices(), as in square_pair_rules.
-    """
-    if slot is None:
-        slot = c.indices()
-    if "z0" not in slot:
-        raise ValueError("input not a staircase: no generator 'z0'")
-    rules: Rules = {"z0": [("z0", 0)]}
-    r = 1
-    while True:
-        one, two = "z%d_1" % r, "z%d_2" % r
-        if one not in slot or two not in slot:
-            return rules
-        rules[one], rules[two] = [(two, 0)], [(one, 0)]
-        r += 1
+
+def square_pair(k1: int, k2: int) -> SparseMap:
+    """The standard square map between the boxes at k1 and k2, which sit
+    at mirrored corners: a1 -> a2 + U^-1 ue2, a2 -> a1, b <-> c across
+    the pair and ue1 <-> ue2."""
+    return {
+        (k2, k1): 0, (k2 + 3, k1): -1, (k2 + 2, k1 + 1): 0, (k2 + 1, k1 + 2): 0,
+        (k2 + 3, k1 + 3): 0, (k1, k2): 0, (k1 + 2, k2 + 1): 0, (k1 + 1, k2 + 2): 0,
+        (k1 + 3, k2 + 3): 0,
+    }
+
+
+def c1_coupling(k: int) -> SparseMap:
+    """The C1 coupling of the staircase with the box at k: a -> a + z0,
+    b -> c + z1_2, c -> b + z1_1, ue -> ue, and z0 -> z0 + U^-1 ue, which
+    adds a term to the reflection's image of z0."""
+    return {
+        (k, k): 0, (0, k): 0, (k + 2, k + 1): 0, (2, k + 1): 0, (k + 1, k + 2): 0,
+        (1, k + 2): 0, (k + 3, k + 3): 0, (0, 0): 0, (k + 3, 0): -1,
+    }
+
+
+def staircase_with_boxes(v: int, coupled: int | None, paired: list[int]) -> SparseMap:
+    """The reflection on 0..2v, the C1 coupling on the box at coupled
+    (None for no coupled box), and the square map on each consecutive
+    pair of the boxes at the offsets paired."""
+    f = reflection(v)
+    if coupled is not None:
+        f.update(c1_coupling(coupled))
+    for k1, k2 in zip(paired[::2], paired[1::2]):
+        f.update(square_pair(k1, k2))
+    return f
 
 
 def standard_staircase_involution(c: FilteredComplex) -> Involution:
-    return involution_from_rules(c, staircase_reflection_rules(c))
-
-
-def square_pair_rules(
-    c: FilteredComplex, suffix1: str, suffix2: str, slot: dict[str, int] | None = None
-) -> Rules:
-    """The standard square map between two boxes at mirrored corners.
-
-    slot is c.indices(); callers pairing many boxes build it once."""
-    if slot is None:
-        slot = c.indices()
-    u1 = c.gens[slot["ue" + suffix1]]
-    u2 = c.gens[slot["ue" + suffix2]]
-    if (u1.i, u1.j) != (u2.j, u2.i):
-        raise ValueError(
-            "box corners (%d,%d) and (%d,%d) are not mirrored"
-            % (u1.i, u1.j, u2.i, u2.j)
-        )
-    return {
-        "a" + suffix1: [("a" + suffix2, 0), ("ue" + suffix2, -1)],
-        "b" + suffix1: [("c" + suffix2, 0)],
-        "c" + suffix1: [("b" + suffix2, 0)],
-        "ue" + suffix1: [("ue" + suffix2, 0)],
-        "a" + suffix2: [("a" + suffix1, 0)],
-        "b" + suffix2: [("c" + suffix1, 0)],
-        "c" + suffix2: [("b" + suffix1, 0)],
-        "ue" + suffix2: [("ue" + suffix1, 0)],
-    }
-
-
-def c1_box_coupling_rules(box_suffix: str = "") -> Rules:
-    """The coupled staircase/box part of the C1 involution.
-
-    Laid over staircase_reflection_rules with update, its z0 rule
-    replaces the reflection's."""
-    a, b, cc, ue = ("a" + box_suffix, "b" + box_suffix, "c" + box_suffix,
-                    "ue" + box_suffix)
-    return {
-        a: [(a, 0), ("z0", 0)],
-        b: [(cc, 0), ("z1_2", 0)],
-        cc: [(b, 0), ("z1_1", 0)],
-        ue: [(ue, 0)],
-        "z0": [("z0", 0), (ue, -1)],
-    }
+    return involution_from_rules(c, reflection((len(c.gens) - 1) // 2))
 
 
 def model_involution(model: str, c: FilteredComplex) -> Involution:
     """iota for the pretzel model complexes C1..C4.
 
     C2-C4 are pure staircases carrying the reflection; C1 couples the
-    reflection with its main-diagonal box.  The involution of a dual
-    model is dual_involution of the primal one.
+    reflection with its main-diagonal box, the last four generators.
+    The involution of a dual model is dual_involution of the primal one.
     """
     if model not in ("C1", "C2", "C3", "C4"):
         raise ValueError("unknown model %r" % model)
-    rules = staircase_reflection_rules(c)
     if model == "C1":
-        rules.update(c1_box_coupling_rules())
-    return involution_from_rules(c, rules)
+        k = len(c.gens) - 4
+        return involution_from_rules(c, staircase_with_boxes(k // 2, k, []))
+    return standard_staircase_involution(c)
 
 
 def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
@@ -197,17 +162,12 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
 
 
 def figure_eight_involution(c: FilteredComplex) -> Involution:
+    """The box a, b, c, ue at 0..3 coupled with x at 4: a -> a + x,
+    b <-> c, ue -> ue, x -> x + U^-1 ue."""
     return involution_from_rules(
-        c,
-        {
-            "a": [("a", 0), ("x", 0)],
-            "b": [("c", 0)],
-            "c": [("b", 0)],
-            "ue": [("ue", 0)],
-            "x": [("x", 0), ("ue", -1)],
-        },
+        c, {(0, 0): 0, (4, 0): 0, (2, 1): 0, (1, 2): 0, (3, 3): 0, (4, 4): 0, (3, 4): -1}
     )
 
 
 def identity_involution(c: FilteredComplex) -> Involution:
-    return involution_from_rules(c, {g.label: [(g.label, 0)] for g in c.gens})
+    return involution_from_rules(c, {(k, k): 0 for k in range(len(c.gens))})

@@ -19,9 +19,7 @@ from .complexes import (
     FilteredComplex,
     _staircase,
     add_box,
-    build_box,
     build_staircase,
-    direct_sum,
     dualize,
     require_valid,
     staircase_n_of_k,
@@ -30,12 +28,10 @@ from .cone import involutive_invariants
 from .homology import alexander_poly, genus_detect, hfk_hat
 from .involution import (
     Involution,
-    c1_box_coupling_rules,
     dual_involution,
     involution_from_rules,
     model_involution,
-    square_pair_rules,
-    staircase_reflection_rules,
+    staircase_with_boxes,
 )
 
 
@@ -158,7 +154,15 @@ def expected_alexander(params: PretzelParams) -> dict[int, int]:
 
 def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
     """Staircase plus the given boxes, appended in place and validated
-    once as their direct sum; suffixes _d, _p{s}, _m{s} per corner."""
+    once as their direct sum.
+
+    The layout, which full_involution reads: the staircase at 0..2v,
+    then four generators a box, first the pairs of each diagonal s > 0
+    from the top, each box at (ci, cj) just before its mirror at
+    (cj, ci), then the main diagonal's boxes, a C1 complex's unpaired
+    box first.  Labels, read only for printing, suffix the t-th box of
+    a diagonal with _p{s}_{t}, _m{s}_{t} or _d{t}.
+    """
     c = _staircase("negative", params.steps)
     g = params.g
     for s in sorted(mults, reverse=True):
@@ -214,9 +218,9 @@ def _model(steps: tuple[int, ...], box_maslov: int | None) -> FilteredComplex:
     corner (-1, -1) when box_maslov is given."""
     if box_maslov is None:
         return build_staircase("negative", steps)
-    return direct_sum(
-        [_staircase("negative", steps), build_box((-1, -1), a_maslov=box_maslov)]
-    )
+    c = _staircase("negative", steps)
+    add_box(c, (-1, -1), box_maslov)
+    return require_valid(c, "direct sum")
 
 
 def model_complex(params: PretzelParams) -> FilteredComplex:
@@ -240,23 +244,13 @@ def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involutio
 
 def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     """Reflection on the staircase, square maps on paired boxes, and the
-    C1 staircase/box coupling on the one unpaired box."""
+    C1 staircase/box coupling on the one unpaired box, at the offsets of
+    _assemble's layout."""
     spec = classify(params)
-    mults = spec.boxes
-    slot = c.indices()
-    rules = staircase_reflection_rules(c, slot=slot)
-    if spec.main_diag_boxes:
-        rules.update(c1_box_coupling_rules("_d1"))
-    for t in range(1 + spec.main_diag_boxes, mults.get(0, 0) + 1, 2):
-        rules.update(square_pair_rules(c, "_d%d" % t, "_d%d" % (t + 1), slot))
-    for s, count in mults.items():
-        if s <= 0:
-            continue
-        for t in range(1, count + 1):
-            rules.update(
-                square_pair_rules(c, "_p%d_%d" % (s, t), "_m%d_%d" % (s, t), slot)
-            )
-    return involution_from_rules(c, rules, slot)
+    paired = 2 * sum(count for s, count in spec.boxes.items() if s > 0)
+    boxes = list(range(2 * spec.v + 1, len(c.gens), 4))
+    coupled = boxes.pop(paired) if spec.main_diag_boxes else None
+    return involution_from_rules(c, staircase_with_boxes(spec.v, coupled, boxes))
 
 
 # ---------------------------------------------------------------------------

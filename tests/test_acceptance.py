@@ -28,7 +28,7 @@ from cfku.involution import (
     identity_involution,
     involution_from_rules,
     model_involution,
-    square_pair_rules,
+    square_pair,
     standard_staircase_involution,
     validate_involution,
 )
@@ -205,10 +205,8 @@ def test_criterion_6_pair_splitting():
             [build_box((0, 3), suffix="@1"), build_box((3, 0), suffix="@2")]
         )
         bigger = direct_sum([c, pair])
-        rules: dict = {}
-        for (t, s), a in iota.matrix.items():
-            rules.setdefault(c.gens[s].label, []).append((c.gens[t].label, a))
-        rules.update(square_pair_rules(bigger, "@1", "@2"))
+        k = len(c.gens)
+        rules = {**iota.matrix, **square_pair(k, k + 4)}
         assert involutive_invariants(bigger, involution_from_rules(bigger, rules)) == base
 
 

@@ -164,6 +164,31 @@ def test_verify_mismatch_is_logged(monkeypatch, caplog, capsys):
     )
 
 
+def test_verify_starts_no_more_workers_than_cases(monkeypatch, capsys):
+    # a stand-in pool that records its size and runs the cases in-process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert run(["verify", "--m-max", "3", "--jobs", "5000"]) == 0
+    assert capsys.readouterr().out.endswith("2 cases, 0 failures\n")
+    assert run(["verify", "--m-max", "5", "--jobs", "4"]) == 0
+    assert capsys.readouterr().out.endswith("6 cases, 0 failures\n")
+    assert sizes == [2, 4]
+
+
 def test_verify_jobs_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

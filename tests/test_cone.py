@@ -47,7 +47,7 @@ from cfku.involution import (
     identity_involution,
     model_involution,
     standard_staircase_involution,
-    square_pair_rules,
+    square_pair,
     involution_from_rules,
 )
 from cfku.pretzel import (
@@ -252,11 +252,9 @@ def test_pair_splitting_invariance(base, pair_corners):
         parts.append(build_box((i, j), suffix="&%d_1" % k))
         parts.append(build_box((j, i), suffix="&%d_2" % k))
     bigger = direct_sum(parts)
-    rules = {}
-    for (t, s), a in iota.matrix.items():
-        rules.setdefault(c.gens[s].label, []).append((c.gens[t].label, a))
-    for k in range(len(pair_corners)):
-        rules.update(square_pair_rules(bigger, "&%d_1" % k, "&%d_2" % k))
+    rules = dict(iota.matrix)
+    for k in range(len(c.gens), len(bigger.gens), 8):
+        rules.update(square_pair(k, k + 4))
     bigger_iota = involution_from_rules(bigger, rules)
     assert involutive_invariants(bigger, bigger_iota) == involutive_invariants(c, iota)
     cone = build_cone(bigger, bigger_iota)

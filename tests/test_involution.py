@@ -4,8 +4,12 @@ Every builder must pass the validator; the fault-injection tests confirm
 the validator actually catches the failure modes it claims to.  The slow
 test enumerates the full space of skew-filtered chain maps squaring to
 the Sarkar map on the smallest coupled staircase-plus-box complex and
-checks they form a single orbit under filtered changes of basis.
+checks they form a single orbit under filtered changes of basis.  The
+index builders are compared with the label-rule builders they replaced,
+kept here as _reference_*.
 """
+
+import re
 
 import pytest
 
@@ -33,12 +37,13 @@ from cfku.involution import (
     identity_involution,
     involution_from_rules,
     model_involution,
-    square_pair_rules,
+    square_pair,
     standard_staircase_involution,
     validate_involution,
 )
 from cfku.pretzel import (
     PretzelParams,
+    classify,
     full_complex,
     full_involution,
     model_complex,
@@ -75,13 +80,14 @@ def test_trefoil_involutions():
 
 
 def test_staircase_involution_rejects_non_staircase():
-    # no z0
-    with pytest.raises(ValueError, match="not a staircase"):
+    # the figure-eight complex: the reflection swaps ue and x
+    message = "grading law broken on U^0 x in iota(ue)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         standard_staircase_involution(figure_eight_complex())
     # a staircase plus a lone generator the reflection does not reach
     stair = build_staircase("negative", (1, 2))
     extra = FilteredComplex([Generator("x", stair.gens[0].maslov, 0, 0)], {})
-    with pytest.raises(ValueError, match="no involution rule"):
+    with pytest.raises(ValueError, match=re.escape("no involution image for ['x']")):
         standard_staircase_involution(direct_sum([stair, extra]))
 
 
@@ -141,32 +147,31 @@ def test_validator_square_is_sarkar():
 
 def test_square_pair_main_diagonal():
     pair = direct_sum([build_box((0, 0), suffix="1"), build_box((0, 0), suffix="2")])
-    iota = involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
+    iota = involution_from_rules(pair, square_pair(0, 4))
     assert validate_involution(iota) == []
 
 
 def test_square_pair_off_diagonal():
     pair = direct_sum([build_box((0, 2), suffix="1"), build_box((2, 0), suffix="2")])
-    iota = involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
+    iota = involution_from_rules(pair, square_pair(0, 4))
     assert validate_involution(iota) == []
 
 
 def test_square_pair_rejects_unmirrored():
     pair = direct_sum([build_box((0, 2), suffix="1"), build_box((1, 0), suffix="2")])
-    with pytest.raises(ValueError):
-        involution_from_rules(pair, square_pair_rules(pair, "1", "2"))
+    message = "term U^0 a2 of iota(a1) not in the transposed slot"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        involution_from_rules(pair, square_pair(0, 4))
 
 
 def test_square_pair_fault_injection():
     pair = direct_sum([build_box((0, 0), suffix="1"), build_box((0, 0), suffix="2")])
-    rules = square_pair_rules(pair, "1", "2")
-    rules["b1"] = [("b2", 0)]  # should be c2
-    with pytest.raises(ValueError, match="commute|iota"):
-        involution_from_rules(pair, rules)
-    # a2 + U a2 is no single power: the sum itself is rejected
-    rules = square_pair_rules(pair, "1", "2")
-    rules["a1"] = [("a2", 0), ("a2", 1)]
-    with pytest.raises(ValueError, match="not graded"):
+    b1, b2, c2 = pair.index("b1"), pair.index("b2"), pair.index("c2")
+    rules = square_pair(0, 4)
+    del rules[(c2, b1)]
+    rules[(b2, b1)] = 0  # should be c2
+    message = "term U^0 b2 of iota(b1) not in the transposed slot"
+    with pytest.raises(ValueError, match=re.escape(message)):
         involution_from_rules(pair, rules)
 
 
@@ -280,6 +285,110 @@ def test_dual_involution_validates_on_every_answer_path_case():
         assert validate_involution(dual_involution(iota, d)) == []
 
 
+# ---------------------------------------------------------------------------
+# The label-rule builders the index maps replaced, kept as a reference
+
+
+def _reference_matrix(c, rules):
+    """The matrix of label rules {source: [(target, U-exponent), ...]}."""
+    slot = c.indices()
+    matrix = {}
+    for src, targets in rules.items():
+        for tgt, e in targets:
+            add_term(matrix, (slot[tgt], slot[src]), e)
+    return matrix
+
+
+def _reference_staircase_reflection_rules(c):
+    """z0 fixed, and z_r^1 and z_r^2 swapped while both are in c."""
+    labels = {g.label for g in c.gens}
+    rules = {"z0": [("z0", 0)]}
+    r = 1
+    while "z%d_1" % r in labels and "z%d_2" % r in labels:
+        one, two = "z%d_1" % r, "z%d_2" % r
+        rules[one], rules[two] = [(two, 0)], [(one, 0)]
+        r += 1
+    return rules
+
+
+def _reference_square_pair_rules(suffix1, suffix2):
+    return {
+        "a" + suffix1: [("a" + suffix2, 0), ("ue" + suffix2, -1)],
+        "b" + suffix1: [("c" + suffix2, 0)],
+        "c" + suffix1: [("b" + suffix2, 0)],
+        "ue" + suffix1: [("ue" + suffix2, 0)],
+        "a" + suffix2: [("a" + suffix1, 0)],
+        "b" + suffix2: [("c" + suffix1, 0)],
+        "c" + suffix2: [("b" + suffix1, 0)],
+        "ue" + suffix2: [("ue" + suffix1, 0)],
+    }
+
+
+def _reference_c1_box_coupling_rules(box_suffix):
+    """Laid over the reflection, its z0 rule replaces the reflection's."""
+    a, b, cc, ue = ("a" + box_suffix, "b" + box_suffix, "c" + box_suffix,
+                    "ue" + box_suffix)
+    return {
+        a: [(a, 0), ("z0", 0)],
+        b: [(cc, 0), ("z1_2", 0)],
+        cc: [(b, 0), ("z1_1", 0)],
+        ue: [(ue, 0)],
+        "z0": [("z0", 0), (ue, -1)],
+    }
+
+
+def _reference_model_matrix(model, c):
+    rules = _reference_staircase_reflection_rules(c)
+    if model == "C1":
+        rules.update(_reference_c1_box_coupling_rules(""))
+    return _reference_matrix(c, rules)
+
+
+def _reference_full_matrix(params, c):
+    spec = classify(params)
+    rules = _reference_staircase_reflection_rules(c)
+    if spec.main_diag_boxes:
+        rules.update(_reference_c1_box_coupling_rules("_d1"))
+    for t in range(1 + spec.main_diag_boxes, spec.boxes.get(0, 0) + 1, 2):
+        rules.update(_reference_square_pair_rules("_d%d" % t, "_d%d" % (t + 1)))
+    for s, count in spec.boxes.items():
+        if s <= 0:
+            continue
+        for t in range(1, count + 1):
+            rules.update(_reference_square_pair_rules("_p%d_%d" % (s, t), "_m%d_%d" % (s, t)))
+    return _reference_matrix(c, rules)
+
+
+def test_index_involutions_equal_the_label_rules():
+    # every model complex with m <= 41 and every full complex with m <= 21
+    checked = 0
+    for m in range(3, 42, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            c = model_complex(params)
+            family = classify(params).family
+            assert model_involution(family, c).matrix == _reference_model_matrix(family, c)
+            checked += 1
+            if m <= 21:
+                c = full_complex(params)
+                assert full_involution(params, c).matrix == _reference_full_matrix(params, c)
+                checked += 1
+    assert checked == 210 + 55
+    # the worked examples and a mirrored pair on its own
+    for left in (False, True):
+        c = trefoil_staircase(left)
+        assert standard_staircase_involution(c).matrix == _reference_matrix(
+            c, _reference_staircase_reflection_rules(c)
+        )
+    pair = direct_sum([build_box((0, 2), suffix="1"), build_box((2, 0), suffix="2")])
+    assert square_pair(0, 4) == _reference_matrix(pair, _reference_square_pair_rules("1", "2"))
+    c = figure_eight_complex()
+    assert figure_eight_involution(c).matrix == _reference_matrix(c, {
+        "a": [("a", 0), ("x", 0)], "b": [("c", 0)], "c": [("b", 0)], "ue": [("ue", 0)],
+        "x": [("x", 0), ("ue", -1)],
+    })
+
+
 def _one_field_changes(d):
     """Copies of the complex d that each differ from it in one respect."""
 
@@ -344,20 +453,22 @@ def test_identity_involution_unknot():
 
 def test_missing_rule_rejected():
     c = trefoil_staircase()
-    with pytest.raises(ValueError, match="no involution rule"):
-        involution_from_rules(c, {"z0": [("z0", 0)]})
+    with pytest.raises(ValueError, match=re.escape("no involution image for ['z1_1', 'z1_2']")):
+        involution_from_rules(c, {(0, 0): 0})
 
 
 def test_rule_naming_an_absent_label_rejected():
-    # a C1 call on a staircase without its box: the z0 rule names ue
-    with pytest.raises(ValueError, match="'ue', which is not a generator"):
+    # a C1 call on a staircase without its box: the coupling lands on
+    # staircase generators, which it sends out of their transposed slots
+    message = "term U^0 z1_1 of iota(z1_1) not in the transposed slot"
+    with pytest.raises(ValueError, match=re.escape(message)):
         model_involution("C1", build_staircase("negative", (1, 2)))
     c = trefoil_staircase()
-    rules = {"z0": [("z0", 0)], "z1_1": [("z1_2", 0)], "z1_2": [("z1_1", 0)]}
-    with pytest.raises(ValueError, match="'x', which is not a generator"):
-        involution_from_rules(c, {**rules, "x": [("z0", 0)]})
-    with pytest.raises(ValueError, match="'y', which is not a generator"):
-        involution_from_rules(c, {**rules, "z0": [("y", 0)]})
+    rules = {(0, 0): 0, (2, 1): 0, (1, 2): 0}
+    with pytest.raises(ValueError, match=re.escape("indices [3], not generators of the complex")):
+        involution_from_rules(c, {**rules, (0, 3): 0})
+    with pytest.raises(ValueError, match=re.escape("indices [-1, 5], not generators of the complex")):
+        involution_from_rules(c, {**rules, (5, 0): 0, (-1, 1): 0})
 
 
 # ---------------------------------------------------------------------------

@@ -328,12 +328,20 @@ def _summed_full_complex(params):
 
 
 def test_full_complex_assembled_in_place_equals_the_direct_sum():
+    # and the C1 model complex: its staircase, then the box at (-1, -1)
+    cases = []
     for m in range(3, 22, 2):
         for n in range(3, m + 1, 2):
             params = PretzelParams(m, n)
-            c, ref = full_complex(params), _summed_full_complex(params)
-            assert c.gens == ref.gens, (m, n)
-            assert list(c.diff.items()) == list(ref.diff.items()), (m, n)
+            cases.append((params, full_complex(params), _summed_full_complex(params)))
+            if classify(params).family == "C1":
+                box = build_box((-1, -1), a_maslov=params.g - 1)
+                ref = direct_sum([_staircase("negative", params.steps), box])
+                cases.append((params, model_complex(params), ref))
+    assert len(cases) == 55 + 15
+    for params, c, ref in cases:
+        assert c.gens == ref.gens, params
+        assert list(c.diff.items()) == list(ref.diff.items()), params
 
 
 def test_classify_carries_the_box_counts():
