@@ -25,7 +25,10 @@ homology, comes from the same elimination run over all arrows.
 Two extractors read the cone, independent in how they read it, and share
 its one homology and the Q-coordinates on it: a ConeComplex is frozen
 and takes its homology, d^2 check included, once, on the first call to
-cone_homology, and the coordinates once, on the first reading.  involutive_vs
+cone_homology, and the coordinates once, on the first reading.  The
+Q-coordinates are those of Q applied to each homology representative, a
+sparse vector {index: exponent} like the representative, one bitmask
+polynomial per summand.  involutive_vs
 reads the tower that the image of Q saturates directly off the
 Q-coordinates on the two towers, with no Smith normal form.
 brute_force_vs enumerates homogeneous classes grading by grading and
@@ -55,7 +58,6 @@ from .homology import (
     homology_over_U,
     sparse_homology,
     v0_from_homology,
-    vector_grading,
 )
 from .involution import Involution
 
@@ -148,7 +150,7 @@ class ConeComplex:
         """
         h = self.homology
         reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
-        coords = [h.class_coords(_apply(self.q, rep, len(rep))) for rep in reps]
+        coords = [h.class_coords(_apply(self.q, rep)) for rep in reps]
         return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
 
 
@@ -192,10 +194,11 @@ def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     coordinates is nonzero, and every column (c, d) is proportional to
     it, a d = b c.  Dividing (a, b) by the largest power of U that
     divides both entries gives the primitive vector of the tower that
-    the image saturates; its grading is g2.  The gradings of any
-    homogeneous basis of F[U]^2 are the same multiset, so the other
-    tower sits in g1 = gamma_0 + gamma_1 - g2.  A failed check, or g2
-    odd or g1 even, raises ValueError.
+    the image saturates: one entry is U^0, and g2 is the grading of that
+    tower.  The gradings of any homogeneous basis of F[U]^2 are the same
+    multiset, so the other tower sits in g1 = gamma_0 + gamma_1 - g2.  A
+    failed check, a term of (a, b) off the grading g2, or g2 odd or g1
+    even, raises ValueError.
     """
     h = cone_homology(cone)
     if len(h.free) != 2:
@@ -209,8 +212,14 @@ def involutive_vs(cone: ConeComplex) -> tuple[int, int]:
     if rank != 1:
         raise ValueError("Q-action saturates %d towers, expected 1" % rank)
     shift = min((p & -p).bit_length() - 1 for p in (a, b) if p)
+    a, b = a >> shift, b >> shift
     gammas = [g for g, _rep in h.free]
-    g2 = vector_grading([a >> shift, b >> shift], gammas)
+    g2 = gammas[0] if a & 1 else gammas[1]
+    terms = {
+        g - 2 * k for g, p in zip(gammas, (a, b)) for k in range(p.bit_length()) if p >> k & 1
+    }
+    if terms != {g2}:
+        raise ValueError("Q-image of the towers is not homogeneous")
     g1 = sum(gammas) - g2
     if g2 % 2 or (g1 - 1) % 2:
         raise ValueError("tower gradings have the wrong parities")

@@ -13,11 +13,14 @@ gradings.  This is the structure theorem for free graded complexes over
 F[U] run as an algorithm (the reduction method of Kaczynski, Mischaikow
 and Mrozek, "Computational Homology").  The elimination keeps its
 inclusion and projection, so every summand comes with an explicit cycle
-representative in the original basis and a coordinate functional, and
-any cycle of the original complex can be rewritten in summand
-coordinates (needed for the image-of-Q tests in the involutive
-invariants).  The cycle check of class_coords runs on the original
-differential, since the projection can send a non-cycle to a cycle.
+representative and a coordinate functional, both sparse vectors
+{original index: exponent}.  The grading law fixes one power of U per
+index, so a homogeneous vector is a monomial in every coordinate, and
+any homogeneous cycle of the original complex, written the same way,
+can be rewritten in summand coordinates (needed for the image-of-Q
+tests in the involutive invariants).  The cycle check of class_coords
+runs on the original differential, since the projection can send a
+non-cycle to a cycle.
 cone.cancel_units runs the same elimination with units_only, which stops
 after the unit pivots.
 
@@ -41,6 +44,7 @@ from .complexes import (
     SparseMap,
     SubquotientComplex,
     _compose,
+    add_term,
     subquotient,
 )
 
@@ -49,27 +53,6 @@ log = logging.getLogger(__name__)
 # (y, a, representative, functional) of one torsion piece F[U]/U^a, the
 # last two as {original index: exponent}
 Summand = tuple[int, int, dict[int, int], dict[int, int]]
-
-
-def vector_grading(vec: list[int], maslov: list[int]) -> int | None:
-    """Grading of a homogeneous vector, None for the zero vector.
-
-    Every monomial term U^d at basis slot k contributes grading
-    maslov[k] - 2d; they must all agree or the vector is not homogeneous.
-    """
-    grading = None
-    for k, p in enumerate(vec):
-        d = 0
-        while p:
-            if p & 1:
-                g = maslov[k] - 2 * d
-                if grading is None:
-                    grading = g
-                elif grading != g:
-                    raise ValueError("vector is not homogeneous")
-            p >>= 1
-            d += 1
-    return grading
 
 
 def eliminate(
@@ -184,20 +167,15 @@ def eliminate(
     return keep, reduced, i_map, p_map, torsion
 
 
-def _apply(m: SparseMap, v: list[int], size: int) -> list[int]:
-    """The sparse map m applied to the dense vector v, size entries out."""
-    out = [0] * size
+def _apply(m: SparseMap, v: dict[int, int]) -> dict[int, int]:
+    """The exponent map m applied to the vector v, both {index: exponent}.
+
+    Sums run over F2 through add_term, which rejects two different powers
+    at one index: the image of a homogeneous vector is homogeneous."""
+    out: dict[int, int] = {}
     for (t, s), e in m.items():
-        if v[s]:
-            out[t] ^= v[s] << e
-    return out
-
-
-def _vector(vec: dict[int, int], n: int) -> list[int]:
-    """The dense vector of {index: exponent}, n entries."""
-    out = [0] * n
-    for o, e in vec.items():
-        out[o] = 1 << e
+        if s in v:
+            add_term(out, t, v[s] + e)
     return out
 
 
@@ -206,31 +184,33 @@ class GradedModule:
     """H = F[U]^t + sum of F[U]/U^k with graded generators.
 
     free: list of (grading, representative); torsion: list of
-    (grading, order_exp, representative).  Representatives are cycle
-    vectors in the basis of the underlying complex.
+    (grading, order_exp, representative).  A representative is a
+    homogeneous cycle {original index: exponent} in the basis of the
+    underlying complex, exactly as eliminate returns it.
     """
 
-    free: list[tuple[int, list[int]]]
-    torsion: list[tuple[int, int, list[int]]]
+    free: list[tuple[int, dict[int, int]]]
+    torsion: list[tuple[int, int, dict[int, int]]]
     # for coordinates of arbitrary cycles: the original differential and
     # one functional {original: exponent} per summand, towers first
     _diff: SparseMap
     _functionals: list[dict[int, int]]
 
-    def class_coords(self, x: list[int]) -> tuple[list[int], list[int]]:
-        """Coordinates of the class [x] as (free coords, torsion coords).
+    def class_coords(self, x: dict[int, int]) -> tuple[list[int], list[int]]:
+        """Coordinates of the class [x] of the vector x, {index: exponent},
+        as (free coords, torsion coords), each a polynomial bitmask.
 
         Torsion coords are reduced mod the summand order.  Raises if x is
-        not a cycle.
+        not a cycle, or if d x sums two different powers at one index.
         """
-        if any(_apply(self._diff, x, len(x))):
+        if _apply(self._diff, x):
             raise ValueError("vector is not a cycle")
         coords = []
         for f in self._functionals:
             acc = 0
             for o, e in f.items():
-                if x[o]:
-                    acc ^= x[o] << e
+                if o in x:
+                    acc ^= 1 << (x[o] + e)
             coords.append(acc)
         nf = len(self.free)
         orders = [k for _g, k, _rep in self.torsion]
@@ -242,7 +222,7 @@ def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
 
     diff holds one exponent per entry.  One elimination over all arrows
     splits the complex into towers and torsion pieces; representatives
-    and functionals are in the original basis.
+    and functionals are the {original index: exponent} vectors it returns.
     """
     n = len(maslov)
     if _compose(diff, diff):
@@ -254,8 +234,8 @@ def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
         towers[k][o] = e
     for (k, o), e in proj.items():
         functionals[k][o] = e
-    free = [(maslov[k], _vector(rep, n)) for k, rep in zip(keep, towers)]
-    torsion = [(maslov[y], a, _vector(rep, n)) for y, a, rep, _f in pieces]
+    free = [(maslov[k], rep) for k, rep in zip(keep, towers)]
+    torsion = [(maslov[y], a, rep) for y, a, rep, _f in pieces]
     functionals += [f for _y, _a, _rep, f in pieces]
     log.debug(
         "homology: %d generators, %d unit arrows cancelled; "

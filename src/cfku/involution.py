@@ -126,21 +126,6 @@ def standard_staircase_involution(c: FilteredComplex) -> Involution:
     return involution_from_rules(c, reflection((len(c.gens) - 1) // 2))
 
 
-def model_involution(model: str, c: FilteredComplex) -> Involution:
-    """iota for the pretzel model complexes C1..C4.
-
-    C2-C4 are pure staircases carrying the reflection; C1 couples the
-    reflection with its main-diagonal box, the last four generators.
-    The involution of a dual model is dual_involution of the primal one.
-    """
-    if model not in ("C1", "C2", "C3", "C4"):
-        raise ValueError("unknown model %r" % model)
-    if model == "C1":
-        k = len(c.gens) - 4
-        return involution_from_rules(c, staircase_with_boxes(k // 2, k, []))
-    return standard_staircase_involution(c)
-
-
 def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     """Transpose of iota, acting on dual_c, which must be dualize of its complex.
 

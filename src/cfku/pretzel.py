@@ -30,7 +30,6 @@ from .involution import (
     Involution,
     dual_involution,
     involution_from_rules,
-    model_involution,
     staircase_with_boxes,
 )
 
@@ -156,7 +155,7 @@ def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
     """Staircase plus the given boxes, appended in place and validated
     once as their direct sum.
 
-    The layout, which full_involution reads: the staircase at 0..2v,
+    The layout, which layout_involution reads: the staircase at 0..2v,
     then four generators a box, first the pairs of each diagonal s > 0
     from the top, each box at (ci, cj) just before its mirror at
     (cj, ci), then the main diagonal's boxes, a C1 complex's unpaired
@@ -208,24 +207,20 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
 # Complexes and involutions
 
 
-def _box_maslov(params: PretzelParams, spec: ModelSpec) -> int | None:
-    """Maslov grading of the C1 main-diagonal box's a; None without the box."""
-    return params.g - 1 if spec.main_diag_boxes else None
-
-
-def _model(steps: tuple[int, ...], box_maslov: int | None) -> FilteredComplex:
-    """The negative staircase with these steps, summed with the box at
-    corner (-1, -1) when box_maslov is given."""
-    if box_maslov is None:
+def _model(steps: tuple[int, ...], coupled: bool) -> FilteredComplex:
+    """The negative staircase with these steps, summed with the C1 box at
+    corner (-1, -1) when coupled, its a at Maslov len(steps) = u + 2 =
+    g - 1."""
+    if not coupled:
         return build_staircase("negative", steps)
     c = _staircase("negative", steps)
-    add_box(c, (-1, -1), box_maslov)
+    add_box(c, (-1, -1), len(steps))
     return require_valid(c, "direct sum")
 
 
 def model_complex(params: PretzelParams) -> FilteredComplex:
     """The staircase; for family C1, summed with the unpaired main-diagonal box."""
-    return _model(params.steps, _box_maslov(params, classify(params)))
+    return _model(params.steps, bool(classify(params).main_diag_boxes))
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:
@@ -238,19 +233,27 @@ def full_complex(params: PretzelParams) -> FilteredComplex:
     return c
 
 
+def layout_involution(c: FilteredComplex, v: int, boxes: dict[int, int]) -> Involution:
+    """The involution of a complex in _assemble's layout, with v steps a
+    side and boxes[s] boxes on diagonal s: the reflection on the
+    staircase, the C1 coupling on the first main-diagonal box when that
+    diagonal's count is odd, and square maps on the other boxes, pair by
+    pair.  The model complexes are this layout with boxes {0: 1} (C1)
+    or none."""
+    paired = 2 * sum(count for s, count in boxes.items() if s > 0)
+    offsets = list(range(2 * v + 1, len(c.gens), 4))
+    coupled = offsets.pop(paired) if boxes.get(0, 0) % 2 else None
+    return involution_from_rules(c, staircase_with_boxes(v, coupled, offsets))
+
+
 def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involution:
-    return model_involution(classify(params).family, c)
+    spec = classify(params)
+    return layout_involution(c, spec.v, {0: spec.main_diag_boxes})
 
 
 def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
-    """Reflection on the staircase, square maps on paired boxes, and the
-    C1 staircase/box coupling on the one unpaired box, at the offsets of
-    _assemble's layout."""
     spec = classify(params)
-    paired = 2 * sum(count for s, count in spec.boxes.items() if s > 0)
-    boxes = list(range(2 * spec.v + 1, len(c.gens), 4))
-    coupled = boxes.pop(paired) if spec.main_diag_boxes else None
-    return involution_from_rules(c, staircase_with_boxes(spec.v, coupled, boxes))
+    return layout_involution(c, spec.v, spec.boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -345,25 +348,25 @@ def _chirality(
 
 @functools.cache
 def model_triple(
-    steps: tuple[int, ...], box_maslov: int | None
+    steps: tuple[int, ...], coupled: bool
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(V0, lower V0, upper V0) of the model defined by its arguments,
     for the knot and for its mirror.
 
     The model is the negative staircase with these steps and, when
-    box_maslov is given (family C1), the main-diagonal box with its
-    coupling laid over the reflection; C2-C4 carry the reflection alone,
-    so they share a key.  The complex and the involution are built and
-    validated once, and the mirror is their dual through _chirality.
-    Many pairs share a model, so the pair of triples is cached on
-    exactly these arguments, at most two entries per m + n.  Only the
-    triples are kept, never a complex or an involution, which relabel
-    could change in place.  A call for one chirality so also reduces
-    the other: about 0.5 ms at m + n = 42, against about 200 ms for one
-    cfku invariants process to start and import cfku.
+    coupled (family C1), the main-diagonal box with its coupling laid
+    over the reflection; C2-C4 carry the reflection alone, so they share
+    a key.  The complex and the involution are built and validated once,
+    and the mirror is their dual through _chirality.  Many pairs share a
+    model, so the pair of triples is cached on exactly these arguments,
+    at most two entries per m + n.  Only the triples are kept, never a
+    complex or an involution, which relabel could change in place.  A
+    call for one chirality so also reduces the other: about 0.5 ms at
+    m + n = 42, against about 200 ms for one cfku invariants process to
+    start and import cfku.
     """
-    c = _model(steps, box_maslov)
-    iota = model_involution("C2" if box_maslov is None else "C1", c)
+    c = _model(steps, coupled)
+    iota = layout_involution(c, len(steps), {0: int(coupled)})
     return involutive_invariants(c, iota), involutive_invariants(*_chirality(c, iota, True))
 
 
@@ -381,7 +384,7 @@ def compute_invariants(
         c, iota = _chirality(c, full_involution(params, c), mirrored)
         triple = involutive_invariants(c, iota)
     else:
-        triple = model_triple(params.steps, _box_maslov(params, spec))[mirrored]
+        triple = model_triple(params.steps, bool(spec.main_diag_boxes))[mirrored]
     return InvariantReport(
         params.m, params.n, mirrored, spec.family, spec.v, spec.n_of_k, spec.boxes, *triple,
     )

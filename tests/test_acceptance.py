@@ -27,7 +27,6 @@ from cfku.involution import (
     figure_eight_involution,
     identity_involution,
     involution_from_rules,
-    model_involution,
     square_pair,
     standard_staircase_involution,
     validate_involution,
@@ -41,6 +40,7 @@ from cfku.pretzel import (
     full_complex,
     full_involution,
     gmm_ledger,
+    layout_involution,
     model_complex,
     model_involution_for,
     theorem_values,
@@ -72,7 +72,7 @@ def c1_pair(nk):
     stair = build_staircase("negative", steps)
     box = build_box((-1, -1), a_maslov=stair.gens[0].maslov)
     c = direct_sum([stair, box])
-    return c, model_involution("C1", c)
+    return c, layout_involution(c, len(steps), {0: 1})
 
 
 # 1. closed-form reproduction up to m = 41, both chiralities, on the model

@@ -39,13 +39,12 @@ from cfku.cone import (
     involutive_vs,
     restrict_to_a0,
 )
-from cfku.homology import GradedModule, _apply, v0, vector_grading
+from cfku.homology import GradedModule, _apply, v0
 from cfku.involution import (
     Involution,
     dual_involution,
     figure_eight_involution,
     identity_involution,
-    model_involution,
     standard_staircase_involution,
     square_pair,
     involution_from_rules,
@@ -54,6 +53,7 @@ from cfku.pretzel import (
     PretzelParams,
     full_complex,
     full_involution,
+    layout_involution,
     model_complex,
     model_involution_for,
 )
@@ -66,17 +66,18 @@ def trefoil(left=False):
 
 
 def c1_model(nk):
-    stair = build_staircase("negative", (1, 2) + (1,) * (2 * nk - 2))
+    steps = (1, 2) + (1,) * (2 * nk - 2)
+    stair = build_staircase("negative", steps)
     box = build_box((-1, -1), a_maslov=stair.gens[0].maslov)
     c = direct_sum([stair, box])
-    return c, model_involution("C1", c)
+    return c, layout_involution(c, len(steps), {0: 1})
 
 
 def tiny_c1():
     stair = build_staircase("negative", (1, 1))
     box = build_box((-1, -1), a_maslov=stair.gens[0].maslov)
     c = direct_sum([stair, box])
-    return c, model_involution("C1", c)
+    return c, layout_involution(c, 2, {0: 1})
 
 
 def test_unknot_cone():
@@ -94,11 +95,9 @@ def test_trefoil_cone_cycle_grading():
     cone = build_cone(c, iota)
     assert len(cone.labels) == 6
     # [z1_1 + Q z0] is a cycle of grading -1
-    x = [0] * 6
-    x[cone.labels.index("z1_1")] = up.mono(0)
-    x[cone.labels.index("Q z0")] = up.mono(0)
-    assert not any(_apply(cone.diff, x, 6))
-    assert vector_grading(x, cone.maslov) == -1
+    x = {cone.labels.index("z1_1"): 0, cone.labels.index("Q z0"): 0}
+    assert _apply(cone.diff, x) == {}
+    assert {cone.maslov[o] - 2 * e for o, e in x.items()} == {-1}
     h = cone_homology(cone)
     assert any(sum(h.class_coords(x), []))
 
@@ -118,11 +117,8 @@ def test_left_trefoil_saturation_witness():
     cone = build_cone(c, iota)
     assert cone.labels == ["z0", "U z1_1", "U z1_2", "Q z0", "Q U z1_1", "Q U z1_2"]
     h = cone_homology(cone)
-    uz0 = [0] * 6
-    uz0[cone.labels.index("z0")] = up.mono(1)
-    qb = [0] * 6
-    qb[cone.labels.index("Q U z1_1")] = up.mono(0)
-    qb[cone.labels.index("Q U z1_2")] = up.mono(0)
+    uz0 = {cone.labels.index("z0"): 1}
+    qb = {cone.labels.index("Q U z1_1"): 0, cone.labels.index("Q U z1_2"): 0}
     assert h.class_coords(uz0) == h.class_coords(qb)
     assert sorted(g for g, _ in h.free) == [1, 2]
 

@@ -7,7 +7,9 @@ are cycles, coordinates of a rep form a unit vector, torsion reps die
 at their order).  sparse_homology, one elimination over all arrows, is
 checked up to isomorphism against a reference made of two Smith normal
 forms on the whole dense matrix (_two_pass_reference, which takes the
-inverse transforms from test_upoly._inverse), and its entry points
+inverse transforms from test_upoly._inverse and converts its dense
+representatives to {index: exponent}, the form sparse_homology returns
+them in), and its entry points
 cone_homology and homology_over_U against the dense front door
 graded_homology, over the worked examples and the pretzel cones.
 eliminate must return exactly the tuple of _reference_eliminate, a
@@ -20,6 +22,7 @@ published values.
 import functools
 import heapq
 import logging
+import re
 from collections import defaultdict
 
 import pytest
@@ -52,7 +55,6 @@ from cfku.homology import (
     homology_over_U,
     sparse_homology,
     v0,
-    vector_grading,
 )
 from cfku.involution import (
     dual_involution,
@@ -72,12 +74,20 @@ from test_upoly import _inverse
 steps_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).map(tuple)
 
 
-def test_vector_grading():
-    assert vector_grading([0, 0], [5, 7]) is None
-    assert vector_grading([up.mono(1), 0], [2, 0]) == 0
-    assert vector_grading([up.mono(1), up.mono(0)], [2, 0]) == 0
-    with pytest.raises(ValueError):
-        vector_grading([up.mono(1), up.mono(0)], [2, 1])
+def _sparse_vector(vec):
+    """The {index: exponent} vector of a dense vector of monomials."""
+    assert all(p & (p - 1) == 0 for p in vec)
+    return {o: up.deg(p) for o, p in enumerate(vec) if p}
+
+
+def _dense_vector(vec, n):
+    """The dense vector, n entries, of {index: exponent}."""
+    return [up.mono(vec[o]) if o in vec else 0 for o in range(n)]
+
+
+def _gradings(vec, maslov):
+    """The set of gradings of the terms of {index: exponent}."""
+    return {maslov[o] - 2 * e for o, e in vec.items()}
 
 
 def test_homology_zero_differential():
@@ -91,25 +101,25 @@ def test_homology_single_torsion():
     # cancelled, and the output is exactly that of the two dense passes
     d, maslov = [[0, up.mono(2)], [0, 0]], [5, 2]
     h = graded_homology(d, maslov)
-    assert (h.free, h.torsion) == ([], [(5, 2, [1, 0])])
+    assert (h.free, h.torsion) == ([], [(5, 2, {0: 0})])
     assert (h.free, h.torsion) == _two_pass_reference(d, maslov)
     rep = h.torsion[0][2]
-    assert h.class_coords(up.mat_vec([[up.mono(2), 0], [0, up.mono(2)]], rep))[1] == [0]
+    assert h.class_coords({o: e + 2 for o, e in rep.items()})[1] == [0]
 
 
 def test_homology_torsion_pivot_fills_in():
     # d(a) = U b + U^2 c: the pivot U^1 from a to b splits off F[U]/U on
     # b + U c, and row b of the projection gives c the coordinate U of b
     h = sparse_homology({(1, 0): 1, (2, 0): 2}, [0, 1, 3])
-    assert h.free == [(3, [0, 0, 1])]
-    assert h.torsion == [(1, 1, [0, 1, 0b10])]
-    assert h.class_coords([0, 1, 0]) == ([0b10], [1])
+    assert h.free == [(3, {2: 0})]
+    assert h.torsion == [(1, 1, {1: 0, 2: 1})]
+    assert h.class_coords({1: 0}) == ([0b10], [1])
     # d(x) = U y + U t, d(s) = U y: the pivot from x to y leaves the new
     # arrow s -> U t, a second F[U]/U, and y = (y + t) + t
     h = sparse_homology({(2, 0): 1, (3, 0): 1, (2, 1): 1}, [0, 0, 1, 1])
     assert h.free == []
-    assert h.torsion == [(1, 1, [0, 0, 1, 1]), (1, 1, [0, 0, 0, 1])]
-    assert h.class_coords([0, 0, 1, 0]) == ([], [1, 1])
+    assert h.torsion == [(1, 1, {2: 0, 3: 0}), (1, 1, {3: 0})]
+    assert h.class_coords({2: 0}) == ([], [1, 1])
 
 
 def _reference_eliminate(diff, n, *, units_only):
@@ -267,13 +277,22 @@ def test_homology_rejects_ungraded():
 def test_homology_not_a_cycle():
     h = graded_homology([[0, up.mono(1)], [0, 0]], [1, 0])
     with pytest.raises(ValueError):
-        h.class_coords([0, up.mono(0)])
+        h.class_coords({1: 0})
+
+
+def test_class_coords_rejects_two_powers_at_one_index():
+    # d(x) = U a and d(y) = U^2 a: the vector x + y, in gradings -1 and
+    # -3, is not homogeneous, and d(x + y) sums U and U^2 at a
+    h = graded_homology([[0, up.mono(1), up.mono(2)], [0, 0, 0], [0, 0, 0]], [0, -1, -3])
+    with pytest.raises(ValueError, match=re.escape("entry 0 sums U^1 and U^2")):
+        h.class_coords({1: 0, 2: 0})
 
 
 def _two_pass_reference(d, maslov):
     """Reference decomposition: both Smith normal forms on the whole d.
 
-    Returns (free, torsion) as graded_homology does, with no cancellation.
+    Returns (free, torsion) as graded_homology does, with no cancellation,
+    the dense representatives converted to {index: exponent}.
     """
     n = len(d)
     s1 = up.smith_normal_form(d)
@@ -291,8 +310,8 @@ def _two_pass_reference(d, maslov):
     for r in range(n - rho):
         if dprime[r] == 1:
             continue
-        rep = up.mat_vec(kernel_cols, [l2inv[i][r] for i in range(n - rho)])
-        grading = vector_grading(rep, maslov)
+        rep = _sparse_vector(up.mat_vec(kernel_cols, [l2inv[i][r] for i in range(n - rho)]))
+        (grading,) = _gradings(rep, maslov)
         if dprime[r] == 0:
             free.append((grading, rep))
         else:
@@ -358,7 +377,7 @@ def test_sparse_entry_points_match_dense_graded_homology():
         dense = graded_homology(d, maslov)
         assert (h.free, h.torsion) == (dense.free, dense.torsion)
         reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
-        for x in reps + [list(col) for col in zip(*d)]:
+        for x in reps + [_sparse_vector(col) for col in zip(*d)]:
             assert h.class_coords(x) == dense.class_coords(x)
 
 
@@ -373,24 +392,24 @@ def test_cancelled_homology_matches_two_pass_reference():
         )
         summands = [(g, rep) for g, rep in h.free] + [(g, rep) for g, _k, rep in h.torsion]
         for pos, (g, rep) in enumerate(summands):
-            assert not any(up.mat_vec(d, rep))
-            assert vector_grading(rep, maslov) == g
+            assert not any(up.mat_vec(d, _dense_vector(rep, len(d))))
+            assert _gradings(rep, maslov) == {g}
             unit = [1 if i == pos else 0 for i in range(len(summands))]
             assert sum(h.class_coords(rep), []) == unit
         # every boundary, with or without parts on cancelled generators,
         # is the zero class
         for col in zip(*d):
-            assert not any(sum(h.class_coords(list(col)), []))
+            assert not any(sum(h.class_coords(_sparse_vector(col)), []))
 
 
 def test_cancelled_unit_arrow_is_acyclic():
     # one unit arrow from x (grading 1) to y (grading 0)
     h = graded_homology([[0, 1], [0, 0]], [0, 1])
     assert (h.free, h.torsion) == ([], [])
-    assert h.class_coords([0, 0]) == ([], [])
-    assert h.class_coords([1, 0]) == ([], [])  # y is a boundary
+    assert h.class_coords({}) == ([], [])
+    assert h.class_coords({0: 0}) == ([], [])  # y is a boundary
     with pytest.raises(ValueError, match="not a cycle"):
-        h.class_coords([0, 1])  # x, the source of the cancelled arrow
+        h.class_coords({1: 0})  # x, the source of the cancelled arrow
 
 
 def test_homology_logs_cancellation_sizes(caplog):
@@ -527,12 +546,12 @@ def test_homology_representatives(sign, steps):
         (g, k) for g, k, _ in torsion
     )
     for g, rep in h.free:
-        assert not any(up.mat_vec(d, rep))  # cycle
-        assert vector_grading(rep, sq.maslov) == g
+        assert not any(up.mat_vec(d, _dense_vector(rep, len(d))))  # cycle
+        assert _gradings(rep, sq.maslov) == {g}
     for pos, (g, k, rep) in enumerate(h.torsion):
-        assert not any(up.mat_vec(d, rep))
-        assert vector_grading(rep, sq.maslov) == g
-        killed = [up.mul(up.mono(k), x) for x in rep]
+        assert not any(up.mat_vec(d, _dense_vector(rep, len(d))))
+        assert _gradings(rep, sq.maslov) == {g}
+        killed = {o: e + k for o, e in rep.items()}
         assert not any(sum(h.class_coords(killed), []))
         fc, tc = h.class_coords(rep)
         assert not any(fc)

@@ -36,8 +36,8 @@ from cfku.involution import (
     figure_eight_involution,
     identity_involution,
     involution_from_rules,
-    model_involution,
     square_pair,
+    staircase_with_boxes,
     standard_staircase_involution,
     validate_involution,
 )
@@ -46,6 +46,7 @@ from cfku.pretzel import (
     classify,
     full_complex,
     full_involution,
+    layout_involution,
     model_complex,
     model_involution_for,
 )
@@ -68,6 +69,11 @@ def c1_model(nk):
     stair = build_staircase("negative", (1, 2) + (1,) * (2 * nk - 2))
     box = build_box((-1, -1), a_maslov=stair.gens[0].maslov)
     return direct_sum([stair, box])
+
+
+def c1_involution(c):
+    """The C1 involution of a staircase summed with one box."""
+    return layout_involution(c, (len(c.gens) - 5) // 2, {0: 1})
 
 
 def test_trefoil_involutions():
@@ -177,7 +183,7 @@ def test_square_pair_fault_injection():
 
 def test_c1_squares_to_sarkar():
     c = c1_model(2)
-    iota = model_involution("C1", c)
+    iota = c1_involution(c)
     sigma = sarkar(c)
     a = c.index("a")
     ue = c.index("ue")
@@ -189,7 +195,7 @@ def test_c1_squares_to_sarkar():
 
 def test_c1_dropped_term_fails():
     c = c1_model(2)
-    iota = model_involution("C1", c)
+    iota = c1_involution(c)
     broken = dict(iota.matrix)
     del broken[(c.index("z0"), c.index("a"))]  # drop the +z0 coupling term
     bad = Involution(c, broken)
@@ -205,22 +211,20 @@ def test_c1_identity_on_box_fails_skew():
 
 def test_model_involutions_all_families():
     cases = {
-        "C1": c1_model(2),
-        "C2": build_staircase("negative", (1, 2, 1)),
-        "C3": build_staircase("negative", (1, 2)),
-        "C4": build_staircase("negative", (1, 2, 1, 1, 1)),
+        "C1": (c1_model(2), 4, {0: 1}),
+        "C2": (build_staircase("negative", (1, 2, 1)), 3, {}),
+        "C3": (build_staircase("negative", (1, 2)), 2, {}),
+        "C4": (build_staircase("negative", (1, 2, 1, 1, 1)), 5, {}),
     }
-    for name, c in cases.items():
-        iota = model_involution(name, c)
+    for c, v, boxes in cases.values():
+        iota = layout_involution(c, v, boxes)
         assert validate_involution(iota) == []
         assert validate_involution(dual_involution(iota, dualize(c))) == []
-    with pytest.raises(ValueError):
-        model_involution("C9", cases["C2"])
 
 
 def test_dual_c1_formulas():
     c = c1_model(2)
-    iota = model_involution("C1", c)
+    iota = c1_involution(c)
     d = dualize(c)
     di = dual_involution(iota, d)
     assert validate_involution(di) == []
@@ -364,7 +368,7 @@ def test_index_involutions_equal_the_label_rules():
             params = PretzelParams(m, n)
             c = model_complex(params)
             family = classify(params).family
-            assert model_involution(family, c).matrix == _reference_model_matrix(family, c)
+            assert model_involution_for(params, c).matrix == _reference_model_matrix(family, c)
             checked += 1
             if m <= 21:
                 c = full_complex(params)
@@ -455,11 +459,11 @@ def test_missing_rule_rejected():
 
 
 def test_rule_naming_an_absent_label_rejected():
-    # a C1 call on a staircase without its box: the coupling lands on
-    # staircase generators, which it sends out of their transposed slots
+    # the C1 coupling of a box at index 1 on a staircase without a box:
+    # it lands on staircase generators and sends them out of their slots
     message = "term U^0 z1_1 of iota(z1_1) not in the transposed slot"
     with pytest.raises(ValueError, match=re.escape(message)):
-        model_involution("C1", build_staircase("negative", (1, 2)))
+        involution_from_rules(build_staircase("negative", (1, 2)), staircase_with_boxes(0, 1, []))
     c = trefoil_staircase()
     rules = {(0, 0): 0, (2, 1): 0, (1, 2): 0}
     with pytest.raises(ValueError, match=re.escape("indices [3], not generators of the complex")):
@@ -555,7 +559,7 @@ def _is_laurent_unimodular(matrix, n):
 @pytest.mark.slow
 def test_c1_involution_unique_up_to_basis_change():
     c = tiny_c1()
-    iota = model_involution("C1", c)
+    iota = c1_involution(c)
     sigma = sarkar(c)
 
     skew_vars, skew_basis = _chain_map_space(c, "skew-filtered")

@@ -351,8 +351,23 @@ def test_classify_carries_the_box_counts():
 
 
 def _model_key(params):
-    """What defines the model: its steps and, for C1, the box grading."""
-    return params.steps, params.g - 1 if classify(params).family == "C1" else None
+    """What defines the model: its steps and whether it carries the C1 box."""
+    return params.steps, classify(params).family == "C1"
+
+
+def test_c1_model_box_sits_at_g_minus_one():
+    # the model key holds no grading: the C1 box's a, four generators
+    # from the end, sits at Maslov g - 1, which is len(steps)
+    seen = 0
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            if classify(params).family == "C1":
+                a = model_complex(params).gens[-4]
+                assert a.label == "a"
+                assert a.maslov == params.g - 1 == len(params.steps), (m, n)
+                seen += 1
+    assert seen == 15
 
 
 def _pairs_by_key(m_max):
