@@ -213,7 +213,7 @@ def cmd_show(parser, args) -> int:
         else model_involution_for(params, c)
     )
     if args.which == "A0":
-        sq = subquotient(c, "A0minus")
+        sq = subquotient(c)
         if args.format == "json":
             _emit(render.to_json_text(render.subquotient_to_json(sq)), args.out)
         else:

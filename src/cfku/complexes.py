@@ -7,7 +7,7 @@ generator down the diagonal, so a finite basis presents the whole
 infinitely generated complex.
 
 Every sparse map (a differential, Phi, Psi, the Sarkar map, an
-involution's matrix, a subquotient differential) stores an entry as the
+involution's matrix, the A0- differential) stores an entry as the
 one exponent a of U^a: the grading law fixes a for each pair of
 generators, so an entry of a graded map is never a sum of two powers.
 Sums over F2 go through add_term, which cancels equal powers and rejects
@@ -15,6 +15,11 @@ two different ones as not graded; add_shifted adds a whole column
 U^shift col by the same rule.  Phi, Psi and the Sarkar map are plain
 SparseMaps on their complex; an involution is one more, held with its
 complex in involution.Involution.
+
+A0- = C{i<=0, j<=0} is the one subquotient that the invariants read.
+subquotient builds it on every generator, and restrict_to_a0 is the one
+loop that carries an exponent map of the complex onto its basis: the
+differential there, and an involution's matrix in cone.
 
 Conventions used throughout:
 
@@ -69,12 +74,6 @@ class FilteredComplex:
     # diff[(t, s)] = a: the boundary of gens[s] contains U^a gens[t]
     diff: SparseMap = field(default_factory=dict)
 
-    def index(self, label: str) -> int:
-        for k, g in enumerate(self.gens):
-            if g.label == label:
-                return k
-        raise KeyError(label)
-
     def indices(self) -> dict[str, int]:
         """label -> index, for many lookups.  Built on each call, since
         relabel changes gens in place."""
@@ -83,7 +82,7 @@ class FilteredComplex:
 
 @dataclass
 class SubquotientComplex:
-    """F2[U]-complex spanned by the minimal U-translates inside a region.
+    """The F2[U]-complex A0- = C{i<=0, j<=0}, as subquotient builds it.
 
     basis[k] = (generator index in parent, U-power k0 of the translate);
     maslov[k] is the grading of U^k0 x; diff[(t, s)] = e means U^e, e >= 0.
@@ -92,7 +91,6 @@ class SubquotientComplex:
     """
 
     parent: FilteredComplex
-    region: str
     basis: list[tuple[int, int]]
     maslov: list[int]
     diff: SparseMap
@@ -324,48 +322,43 @@ def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
 
 
 # ---------------------------------------------------------------------------
-# Subquotients
+# A0-
 
 
-def subquotient(c: FilteredComplex, region: str, w: int | None = None) -> SubquotientComplex:
-    """The F2[U]-complex of a plane region.
+def subquotient(c: FilteredComplex) -> SubquotientComplex:
+    """A0- = C{i<=0, j<=0} as an F2[U]-complex.
 
-    A0minus: C{i<=0, j<=0}; B0minus: C{i<=0}; i0_j_w: the direct summand
-    on the diagonal j - i = w of the quotient complex C{i<=0}/C{i<0}.
-    The basis element for generator x is U^k0 x with the minimal
-    translate meeting the region; k0 may be negative.
+    Its basis is every generator x of c, in order, as U^k0 x with
+    k0 = max(i, j), the minimal translate inside the quadrant; k0 may be
+    negative.  The differential is c's, carried over by restrict_to_a0.
     """
-    if region not in ("A0minus", "B0minus", "i0_j_w"):
-        raise ValueError("unknown region %r" % region)
-    if region == "i0_j_w" and w is None:
-        raise ValueError("region i0_j_w needs the diagonal w")
-    basis = []
-    maslov = []
-    slot = {}
-    for k, (_label, m, i, j) in enumerate(c.gens):
-        if region == "i0_j_w" and j - i != w:
-            continue
-        k0 = max(i, j) if region == "A0minus" else i
-        slot[k] = len(basis)
-        basis.append((k, k0))
-        maslov.append(m - 2 * k0)
+    basis = [(k, max(i, j)) for k, (_label, _m, i, j) in enumerate(c.gens)]
+    maslov = [g.maslov - 2 * k0 for g, (_k, k0) in zip(c.gens, basis)]
+    a0 = SubquotientComplex(c, basis, maslov, {})
+    a0.diff = restrict_to_a0(a0, c.diff, "differential")
+    return a0
 
-    diff: SparseMap = {}
-    for (t, s), a in c.diff.items():
-        if s not in slot or t not in slot:
-            continue
-        e = basis[slot[s]][1] + a - basis[slot[t]][1]
-        if region in ("A0minus", "B0minus"):
-            if e < 0:
-                raise ValueError(
-                    "negative U-power in %s differential: %s -> %s"
-                    % (region, c.gens[s].label, c.gens[t].label)
-                )
-        elif e != 0:
-            # target leaves the i = 0 slice: quotiented away
-            continue
-        diff[(slot[t], slot[s])] = e
-    return SubquotientComplex(c, region, basis, maslov, diff)
+
+def restrict_to_a0(a0: SubquotientComplex, m: SparseMap, what: str) -> SparseMap:
+    """The exponent map m of a0.parent on the A0- basis of a0.
+
+    a0 is subquotient(a0.parent), whose basis index is the generator
+    index, so the entry U^a from s to t becomes U^(k0[s] + a - k0[t]).
+    A filtered or skew-filtered map preserves the quadrant, so a
+    negative power means m is neither and raises ValueError naming what
+    m is and both generators.
+    """
+    basis, gens = a0.basis, a0.parent.gens
+    out: SparseMap = {}
+    for (t, s), a in m.items():
+        e = basis[s][1] + a - basis[t][1]
+        if e < 0:
+            raise ValueError(
+                "%s does not restrict to A0-: U^%d from %s to %s"
+                % (what, e, gens[s].label, gens[t].label)
+            )
+        out[(t, s)] = e
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ differential as it is.  The cone homology carries exactly two infinite
 towers; the lower correction term reads off the tower surviving the
 image of the Q-action, the upper one the quotient tower.
 
+cancel_units and build_cone write iota on the A0- basis with
+complexes.restrict_to_a0, the loop that gives A0- its differential.
 involutive_invariants reads every invariant from the cancelled A0-:
 cancel_units removes each unit (U^0) arrow of A0- through the Gaussian
 elimination that every homology also runs (homology.eliminate on the A0-
@@ -49,41 +51,19 @@ from .complexes import (
     SubquotientComplex,
     _compose,
     add_term,
+    restrict_to_a0,
     subquotient,
 )
 from .homology import (
     GradedModule,
     _apply,
     eliminate,
-    homology_over_U,
     sparse_homology,
     v0_from_homology,
 )
 from .involution import Involution
 
 log = logging.getLogger(__name__)
-
-
-def restrict_to_a0(iota: Involution, a0: SubquotientComplex) -> SparseMap:
-    """Sparse map of iota on the A0- basis, one exponent per entry.
-
-    Skew-filtered maps preserve the quadrant i <= 0, j <= 0, so every
-    entry lands at a nonnegative U-power; a negative power means the map
-    was not skew-filtered and is reported as an error.
-    """
-    slot = {g: k for k, (g, _k0) in enumerate(a0.basis)}
-    out: SparseMap = {}
-    for (t, s), a in iota.matrix.items():
-        if s not in slot or t not in slot:
-            raise ValueError("involution leaves the A0- basis")
-        e = a0.basis[slot[s]][1] + a - a0.basis[slot[t]][1]
-        if e < 0:
-            raise ValueError(
-                "iota does not restrict to A0-: U^%d from %s to %s"
-                % (e, iota.complex.gens[s].label, iota.complex.gens[t].label)
-            )
-        out[(slot[t], slot[s])] = e
-    return out
 
 
 def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientComplex, SparseMap]:
@@ -98,9 +78,9 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
     entry are checked (eliminate reads every d' exponent off the
     gradings), and any failure raises ValueError.
     """
-    a0 = subquotient(c, "A0minus")
+    a0 = subquotient(c)
     keep, diff, inc, proj, _torsion = eliminate(a0.diff, a0.maslov, units_only=True)
-    fmap = _compose(proj, _compose(restrict_to_a0(iota, a0), inc))
+    fmap = _compose(proj, _compose(restrict_to_a0(a0, iota.matrix, "iota"), inc))
     maslov = [a0.maslov[k] for k in keep]
     problems = [
         "iota' entry U^%d from %d to %d breaks the grading law" % (a, s, t)
@@ -177,8 +157,8 @@ def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
 def build_cone(c: FilteredComplex, iota: Involution) -> ConeComplex:
     """The unreduced cone on the whole A0- basis: the oracle for the
     cone of the cancelled A0-."""
-    a0 = subquotient(c, "A0minus")
-    return _assemble_cone(a0, restrict_to_a0(iota, a0))
+    a0 = subquotient(c)
+    return _assemble_cone(a0, restrict_to_a0(a0, iota.matrix, "iota"))
 
 
 def cone_homology(cone: ConeComplex) -> GradedModule:
@@ -326,4 +306,4 @@ def involutive_invariants(c: FilteredComplex, iota: Involution) -> tuple[int, in
         "A0-: %d generators, %d after cancellation; cone: %d generators",
         len(c.gens), len(a0.basis), len(cone.labels),
     )
-    return (v0_from_homology(homology_over_U(a0)), *involutive_vs(cone))
+    return (v0_from_homology(sparse_homology(a0.diff, a0.maslov)), *involutive_vs(cone))

@@ -42,7 +42,6 @@ from . import upoly as up
 from .complexes import (
     FilteredComplex,
     SparseMap,
-    SubquotientComplex,
     _compose,
     add_term,
     subquotient,
@@ -269,10 +268,6 @@ def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
     return sparse_homology(diff, maslov)
 
 
-def homology_over_U(sq: SubquotientComplex) -> GradedModule:
-    return sparse_homology(sq.diff, sq.maslov)
-
-
 def v0_from_homology(h: GradedModule) -> int:
     """-1/2 times the grading of the one tower of h, which is H(A0-) or
     the homology of a complex homotopy equivalent to A0-."""
@@ -290,7 +285,8 @@ def v0(c: FilteredComplex) -> int:
     """V0 from the homology of the whole, uncancelled A0-: the dense
     oracle for the V0 that cone.involutive_invariants reads after
     cancellation."""
-    return v0_from_homology(homology_over_U(subquotient(c, "A0minus")))
+    a0 = subquotient(c)
+    return v0_from_homology(sparse_homology(a0.diff, a0.maslov))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +315,9 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     Read straight off c: the i = 0 slice holds U^i x for each generator
     x, on the diagonal j - i in grading M - 2i, and an arrow U^a from s
     to t survives the quotient by C{i<0} when i_t = i_s + a.  Only the
-    arrows whose ends share a diagonal, those of the i0_j_w summands,
-    enter the boundary ranks, which are taken only for the (diagonal,
-    grading) blocks that have arrows.
+    arrows whose ends share a diagonal, those of the direct summands
+    C{i=0, j=w}, enter the boundary ranks, which are taken only for the
+    (diagonal, grading) blocks that have arrows.
     """
     gens = c.gens
     where = [(j - i, m - 2 * i) for _label, m, i, j in gens]

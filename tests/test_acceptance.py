@@ -21,7 +21,7 @@ from cfku.complexes import (
     validate,
 )
 from cfku.cone import brute_force_vs, build_cone, involutive_invariants, involutive_vs
-from cfku.homology import alexander_poly, genus_detect, hfk_hat, homology_over_U
+from cfku.homology import alexander_poly, genus_detect, hfk_hat, sparse_homology
 from cfku.involution import (
     dual_involution,
     figure_eight_involution,
@@ -115,7 +115,8 @@ def test_criterion_2_worked_examples():
 def test_criterion_3_homology_regression():
     for nk in range(1, 6):
         c, iota = c1_pair(nk)
-        a0h = homology_over_U(subquotient(c, "A0minus"))
+        a0 = subquotient(c)
+        a0h = sparse_homology(a0.diff, a0.maslov)
         assert [g for g, _ in a0h.free] == [0]
         assert sorted((g, k) for g, k, _ in a0h.torsion) == [
             (2 * nk - 1, nk),
@@ -132,7 +133,8 @@ def test_criterion_3_homology_regression():
 
         d = dualize(c)
         di = dual_involution(iota, d)
-        da0 = homology_over_U(subquotient(d, "A0minus"))
+        a0 = subquotient(d)
+        da0 = sparse_homology(a0.diff, a0.maslov)
         assert [g for g, _ in da0.free] == [-2 * nk]
         assert sorted((g, k) for g, k, _ in da0.torsion) == [(-2 * nk, 1)]
         dh = cone_homology(build_cone(d, di))
@@ -185,7 +187,7 @@ def test_criterion_6_box_acyclic():
     for corner in [(0, 0), (-1, -1), (2, 5)]:
         box = build_box(corner)
         assert validate(box) == []
-        sq = subquotient(box, "B0minus")
+        sq = subquotient(box)
         m = _dense(sq.diff, len(sq.basis))
         assert len(m) - 2 * up.smith_normal_form(m).rank == 0
 

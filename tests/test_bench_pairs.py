@@ -120,3 +120,24 @@ def test_within_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
     assert not metrics["rate"]["within_bound"]
     # a parent without spread: any median gain won in every pair resolves
     assert metrics["wall_s"]["within_bound"] and metrics["wall_s"]["gain_resolved"]
+    assert not metrics["wall_s"]["unresolved"] and not metrics["rate"]["unresolved"]
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [1.0, 1.0, 1.5, 1.5]
+    # parent q1 1.0, q3 1.5, median 1.25: a spread of 40% of the median,
+    # wider than both bounds
+    metrics = _pairs(parent, [p * 1.3 for p in parent])
+    assert not metrics["wall_s"]["within_bound"] and metrics["wall_s"]["unresolved"]
+    # rate: better in the median, yet the change's 1.3 loses to the parent's 1.5
+    assert metrics["rate"]["within_bound"] and metrics["rate"]["unresolved"]
+    metrics = _pairs(parent, parent)
+    assert metrics["wall_s"]["within_bound"] and metrics["wall_s"]["unresolved"]
+
+
+def test_a_change_whose_every_run_wins_is_resolved_despite_the_spread():
+    parent = [1.0, 1.0, 1.5, 1.5]
+    metrics = _pairs(parent, [0.9, 0.5, 0.6, 0.7])
+    # every change run beats every parent run on wall_s, none does on rate
+    assert not metrics["wall_s"]["unresolved"] and metrics["wall_s"]["within_bound"]
+    assert metrics["rate"]["unresolved"] and not metrics["rate"]["within_bound"]

@@ -35,6 +35,7 @@ from cfku.complexes import (
     unknot_complex,
     validate,
 )
+from cfku.homology import sparse_homology
 from test_homology import _dense
 
 steps_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).map(tuple)
@@ -48,7 +49,8 @@ def _arrows(c):
 def test_right_trefoil_shape():
     c = right_trefoil_complex()
     assert _arrows(c) == {("a", "b"): 0, ("a", "c"): 0}
-    a, b, cc = (c.gens[c.index(l)] for l in "abc")
+    idx = c.indices()
+    a, b, cc = (c.gens[idx[l]] for l in "abc")
     assert (b.i, b.j) == (a.i - 1, a.j) and (cc.i, cc.j) == (a.i, a.j - 1)
     assert validate(c) == []
 
@@ -85,7 +87,7 @@ def test_lspace_staircase():
 def test_box_shape():
     box = build_box((2, 5), suffix="!")
     assert validate(box) == []
-    ue = box.gens[box.index("ue!")]
+    ue = box.gens[box.indices()["ue!"]]
     assert (ue.i, ue.j) == (2, 5)
     from_ab = {k: e for k, e in _arrows(box).items() if k[0] in ("a!", "b!")}
     assert from_ab == {
@@ -96,7 +98,7 @@ def test_box_shape():
 def test_box_acyclic():
     # localized homology of an acyclic box vanishes
     box = build_box((-1, -1))
-    sq = subquotient(box, "B0minus")
+    sq = subquotient(box)
     m = _dense(sq.diff, len(sq.basis))
     assert len(m) - 2 * up.smith_normal_form(m).rank == 0
 
@@ -183,28 +185,27 @@ def test_validate_catches_d_squared():
 
 def test_subquotient_regions():
     c = right_trefoil_complex()
-    a0 = subquotient(c, "A0minus")
+    a0 = subquotient(c)
     assert a0.labels() == ["a", "b", "c"]
     # b and c already sit inside the quadrant, a needs no translate either
     assert [k0 for _g, k0 in a0.basis] == [0, 0, 0]
-    with pytest.raises(ValueError):
-        subquotient(c, "nowhere")
-    with pytest.raises(ValueError):
-        subquotient(c, "i0_j_w")
 
 
-def test_i0_slice_drops_offdiagonal_arrows():
-    c = right_trefoil_complex()
-    w0 = subquotient(c, "i0_j_w", 0)
-    assert w0.diff == {}  # da = b + c leaves the diagonal
+def test_a0_rejects_a_negative_power():
+    # x at (0, 0) enters A0- as itself and y at (5, 5) as U^5 y, so the
+    # arrow dx = y, which breaks the filtration law, would need U^-5
+    c = FilteredComplex([Generator("x", 1, 0, 0), Generator("y", 0, 5, 5)], {(1, 0): 0})
+    message = r"differential does not restrict to A0-: U\^-5 from x to y"
+    with pytest.raises(ValueError, match=message):
+        subquotient(c)
 
 
 def test_sarkar_on_box():
     box = build_box((0, 0))
     phi, psi = phi_psi(box)
     comp = sarkar(box)
-    a = box.index("a")
-    ue = box.index("ue")
+    idx = box.indices()
+    a, ue = idx["a"], idx["ue"]
     assert comp[(ue, a)] == -1
     assert comp[(a, a)] == 0
 
@@ -242,15 +243,21 @@ def test_staircase_properties(sign, steps):
     assert validate(c) == []
     assert len(c.gens) == 2 * len(steps) + 1
     # transpose symmetry of the two sides
+    idx = c.indices()
     for r in range(1, len(steps) + 1):
-        g1 = c.gens[c.index("z%d_1" % r)]
-        g2 = c.gens[c.index("z%d_2" % r)]
+        g1 = c.gens[idx["z%d_1" % r]]
+        g2 = c.gens[idx["z%d_2" % r]]
         assert (g1.i, g1.j) == (g2.j, g2.i) and g1.maslov == g2.maslov
     # B0- normalization puts the tower in grading 0
-    from cfku.homology import homology_over_U
-
-    h = homology_over_U(subquotient(c, "B0minus"))
+    h = sparse_homology(*_b0_minus(c))
     assert [g for g, _ in h.free] == [0]
+
+
+def _b0_minus(c):
+    """(diff, maslov) of B0- = C{i<=0}: U^i x for every generator x."""
+    diff = {(t, s): c.gens[s].i + a - c.gens[t].i for (t, s), a in c.diff.items()}
+    assert all(e >= 0 for e in diff.values())
+    return diff, [g.maslov - 2 * g.i for g in c.gens]
 
 
 def _reference_staircase(sign, step_lengths):

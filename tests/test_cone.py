@@ -24,6 +24,7 @@ from cfku.complexes import (
     figure_eight_complex,
     relabel,
     left_trefoil_complex,
+    restrict_to_a0,
     right_trefoil_complex,
     subquotient,
     unknot_complex,
@@ -37,9 +38,8 @@ from cfku.cone import (
     cone_homology,
     involutive_invariants,
     involutive_vs,
-    restrict_to_a0,
 )
-from cfku.homology import GradedModule, _apply, v0
+from cfku.homology import GradedModule, _apply, sparse_homology, v0
 from cfku.involution import (
     Involution,
     dual_involution,
@@ -164,9 +164,8 @@ def test_dual_c1_family_regression():
 
 
 def cone_homology_of_a0(c):
-    from cfku.homology import homology_over_U
-
-    return homology_over_U(subquotient(c, "A0minus"))
+    a0 = subquotient(c)
+    return sparse_homology(a0.diff, a0.maslov)
 
 
 def _examples_for_oracle():
@@ -260,10 +259,21 @@ def test_pair_splitting_invariance(base, pair_corners):
 
 def test_restriction_rejects_region_leak():
     c, iota = trefoil()
-    a0 = subquotient(c, "A0minus")
-    m = restrict_to_a0(iota, a0)
+    a0 = subquotient(c)
+    m = restrict_to_a0(a0, iota.matrix, "iota")
     assert m[(a0.labels().index("z1_2"), a0.labels().index("z1_1"))] == 0
     assert m[(0, 0)] == 0
+
+
+def test_a0_rejects_an_iota_with_a_negative_power():
+    # U^-1 a in iota(a) leaves A0-; Involution does not validate
+    c = right_trefoil_complex()
+    bad = Involution(c, {(0, 0): -1, (2, 1): 0, (1, 2): 0})
+    message = r"iota does not restrict to A0-: U\^-1 from a to a"
+    with pytest.raises(ValueError, match=message):
+        build_cone(c, bad)
+    with pytest.raises(ValueError, match=message):
+        cancel_units(c, bad)
 
 
 def test_involutive_vs_precondition():
@@ -434,7 +444,8 @@ def test_cancellation_rejects_non_chain_map():
     # swapping U z1_1 and U z1_2 but dropping z0 does not commute with
     # d(U z1_r) = U z0; nothing cancels, so the fault survives to A0'
     c, _iota = trefoil(left=True)
-    swap = {(c.index("z1_2"), c.index("z1_1")): 0, (c.index("z1_1"), c.index("z1_2")): 0}
+    idx = c.indices()
+    swap = {(idx["z1_2"], idx["z1_1"]): 0, (idx["z1_1"], idx["z1_2"]): 0}
     bad = Involution(c, swap)
     with pytest.raises(ValueError, match="does not commute"):
         cancel_units(c, bad)

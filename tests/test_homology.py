@@ -10,7 +10,7 @@ forms on the whole dense matrix (_two_pass_reference, which takes the
 inverse transforms from test_upoly._inverse and converts its dense
 representatives to {index: exponent}, the form sparse_homology returns
 them in), and its entry points
-cone_homology and homology_over_U against the dense front door
+cone_homology and sparse_homology on A0- against the dense front door
 graded_homology, over the worked examples and the pretzel cones.
 eliminate must return exactly the tuple of _reference_eliminate, a
 heap-based elimination on exponent dicts that takes no gradings, on
@@ -52,7 +52,6 @@ from cfku.homology import (
     genus_detect,
     graded_homology,
     hfk_hat,
-    homology_over_U,
     sparse_homology,
     v0,
 )
@@ -345,7 +344,7 @@ def _cancellation_inputs():
     the model complex of every odd pair with m <= 21 and every full
     complex whose cone has at most 60 generators, each also dualized: d
     the dense matrix of the differential, h the homology from the sparse
-    entry point, cone_homology or homology_over_U."""
+    entry point, cone_homology or sparse_homology."""
     pairs = []
     for m in range(3, 22, 2):
         for n in range(3, m + 1, 2):
@@ -362,10 +361,10 @@ def _cancellation_inputs():
     inputs = []
     for c, iota in cases:
         cone = build_cone(c, iota)
-        a0 = subquotient(c, "A0minus")
+        a0 = subquotient(c)
         inputs += [
             (_dense(cone.diff, len(cone.maslov)), cone.maslov, cone_homology(cone)),
-            (_dense(a0.diff, len(a0.maslov)), a0.maslov, homology_over_U(a0)),
+            (_dense(a0.diff, len(a0.maslov)), a0.maslov, sparse_homology(a0.diff, a0.maslov)),
         ]
     return inputs
 
@@ -435,21 +434,23 @@ def test_v0_values():
 
 
 def test_trefoil_a0_decomposition():
-    h = homology_over_U(subquotient(right_trefoil_complex(), "A0minus"))
+    a0 = subquotient(right_trefoil_complex())
+    h = sparse_homology(a0.diff, a0.maslov)
     assert [g for g, _ in h.free] == [-2]
     assert h.torsion == []
 
 
 def test_localized_rank():
     # rank over F2[U, U^-1] of the homology of d is n - 2 rank(d)
-    sq = subquotient(build_staircase("negative", (1, 2, 1, 1)), "B0minus")
+    sq = subquotient(build_staircase("negative", (1, 2, 1, 1)))
     d = _dense(sq.diff, len(sq.basis))
     assert len(d) - 2 * up.smith_normal_form(d).rank == 1
 
 
 def test_induced_identity():
     # the identity sends each summand generator to its own unit vector
-    h = homology_over_U(subquotient(right_trefoil_complex(), "A0minus"))
+    a0 = subquotient(right_trefoil_complex())
+    h = sparse_homology(a0.diff, a0.maslov)
     reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
     coords = [sum(h.class_coords(rep), []) for rep in reps]
     assert coords == up.mat_identity(len(reps))
@@ -464,13 +465,32 @@ def test_hfk_figure_eight():
     assert hfk_hat(figure_eight_complex()) == {(1, 1): 1, (0, 0): 3, (-1, -1): 1}
 
 
+def _i0_slice(c, w):
+    """(maslov, diff) of the direct summand C{i=0, j=w} of C{i<=0}/C{i<0}:
+    U^i x for every generator x on the diagonal j - i = w, re-indexed in
+    order, and the arrows U^a from s to t with i_t = i_s + a between them;
+    the others leave the slice and are quotiented away."""
+    slot = {}
+    maslov = []
+    for k, (_label, m, i, j) in enumerate(c.gens):
+        if j - i == w:
+            slot[k] = len(maslov)
+            maslov.append(m - 2 * i)
+    diff = {
+        (slot[t], slot[s]): 0
+        for (t, s), a in c.diff.items()
+        if s in slot and t in slot and c.gens[t].i == c.gens[s].i + a
+    }
+    return maslov, diff
+
+
 def _hfk_hat_per_diagonal(c):
-    """Reference hfk_hat: one i0_j_w subquotient per diagonal w."""
+    """Reference hfk_hat: one i = 0 slice per diagonal w."""
     table = {}
     for w in sorted({g.j - g.i for g in c.gens}):
-        sq = subquotient(c, "i0_j_w", w)
+        maslov, diff = _i0_slice(c, w)
         gens_at = {}
-        for idx, m in enumerate(sq.maslov):
+        for idx, m in enumerate(maslov):
             gens_at.setdefault(m, []).append(idx)
         ranks = {}
         for k, sources in gens_at.items():
@@ -479,7 +499,7 @@ def _hfk_hat_per_diagonal(c):
             rows = []
             for s in sources:
                 row = 0
-                for (t, ss), p in sq.diff.items():
+                for (t, ss), p in diff.items():
                     if ss == s:
                         row |= 1 << tpos[t]
                 rows.append(row)
@@ -536,9 +556,9 @@ def test_alexander_and_genus():
 @given(st.sampled_from(["positive", "negative"]), steps_strategy)
 def test_homology_representatives(sign, steps):
     c = build_staircase(sign, steps)
-    sq = subquotient(c, "A0minus")
+    sq = subquotient(c)
     d = _dense(sq.diff, len(sq.basis))
-    h = homology_over_U(sq)
+    h = sparse_homology(sq.diff, sq.maslov)
     assert len(h.free) == 1  # knot-like: one tower
     free, torsion = _two_pass_reference(d, sq.maslov)
     assert sorted(g for g, _ in h.free) == sorted(g for g, _ in free)

@@ -81,8 +81,9 @@ def test_trefoil_involutions():
         c = trefoil_staircase(left)
         iota = standard_staircase_involution(c)
         assert validate_involution(iota) == []
-        assert iota.matrix[(c.index("z1_2"), c.index("z1_1"))] == 0
-        assert iota.matrix[(c.index("z0"), c.index("z0"))] == 0
+        idx = c.indices()
+        assert iota.matrix[(idx["z1_2"], idx["z1_1"])] == 0
+        assert iota.matrix[(idx["z0"], idx["z0"])] == 0
 
 
 def test_staircase_involution_rejects_non_staircase():
@@ -146,7 +147,8 @@ def test_validator_square_is_sarkar():
     c = figure_eight_complex()
     iota = figure_eight_involution(c)
     broken = dict(iota.matrix)
-    del broken[(c.index("ue"), c.index("x"))]
+    idx = c.indices()
+    del broken[(idx["ue"], idx["x"])]
     problems = validate_involution(Involution(c, broken))
     assert problems == ["iota^2 differs from the Sarkar map"]
 
@@ -172,7 +174,8 @@ def test_square_pair_rejects_unmirrored():
 
 def test_square_pair_fault_injection():
     pair = direct_sum([build_box((0, 0), suffix="1"), build_box((0, 0), suffix="2")])
-    b1, b2, c2 = pair.index("b1"), pair.index("b2"), pair.index("c2")
+    idx = pair.indices()
+    b1, b2, c2 = idx["b1"], idx["b2"], idx["c2"]
     rules = square_pair(0, 4)
     del rules[(c2, b1)]
     rules[(b2, b1)] = 0  # should be c2
@@ -185,8 +188,8 @@ def test_c1_squares_to_sarkar():
     c = c1_model(2)
     iota = c1_involution(c)
     sigma = sarkar(c)
-    a = c.index("a")
-    ue = c.index("ue")
+    idx = c.indices()
+    a, ue = idx["a"], idx["ue"]
     # sigma(a) = a + U^-1 ue, reproduced by composing iota with itself
     sq = _compose(iota.matrix, iota.matrix)
     assert sq[(ue, a)] == -1
@@ -197,7 +200,8 @@ def test_c1_dropped_term_fails():
     c = c1_model(2)
     iota = c1_involution(c)
     broken = dict(iota.matrix)
-    del broken[(c.index("z0"), c.index("a"))]  # drop the +z0 coupling term
+    idx = c.indices()
+    del broken[(idx["z0"], idx["a"])]  # drop the +z0 coupling term
     bad = Involution(c, broken)
     assert any("iota^2" in p or "commute" in p for p in validate_involution(bad))
 
@@ -229,11 +233,8 @@ def test_dual_c1_formulas():
     di = dual_involution(iota, d)
     assert validate_involution(di) == []
     # the dual of iota(c) = b + z1_1 sends z1_1 to z1_2 plus a c term
-    img = {
-        d.gens[t].label: a
-        for (t, s), a in di.matrix.items()
-        if s == d.index("z1_1")
-    }
+    z1_1 = d.indices()["z1_1"]
+    img = {d.gens[t].label: a for (t, s), a in di.matrix.items() if s == z1_1}
     assert set(img) == {"z1_2", "c"}
 
 
@@ -444,7 +445,8 @@ def test_figure_eight_involution():
     iota = figure_eight_involution(c)
     assert validate_involution(iota) == []
     sq = _compose(iota.matrix, iota.matrix)
-    assert sq[(c.index("ue"), c.index("a"))] == -1
+    idx = c.indices()
+    assert sq[(idx["ue"], idx["a"])] == -1
 
 
 def test_identity_involution_unknot():

@@ -24,3 +24,11 @@ def test_every_traced_target_resolves():
             assert hasattr(obj, name), target
             obj = getattr(obj, name)
         assert callable(obj), target
+
+
+def test_homology_reads_the_one_subquotient():
+    # the tracer rebinds complexes.subquotient in every namespace that
+    # holds it, so homology must hold that same function
+    from cfku import complexes, homology
+
+    assert homology.subquotient is complexes.subquotient

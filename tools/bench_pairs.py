@@ -18,7 +18,8 @@ The result is ``BENCH_<LABEL>.json`` in the current directory, with the
 keys about, command, parent, change, host, summary (per workload and
 end-to-end metric: each side's median and quartiles over its runs, the
 number of pairs the change wins, the relative change of the median,
-and the verdicts ``gain_resolved`` and ``within_bound``), traced and
+and the verdicts ``gain_resolved``, ``within_bound`` and
+``unresolved``), traced and
 runs.  The end-to-end metrics, the direction in which each is better
 and its bound are read from the change tree's ``BENCHMARK.json``.
 A run record also keeps the ``peak_rss_mb`` of each untraced pass, and
@@ -102,7 +103,10 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     least nine tenths of the pairs and its median is better than the
     parent's by more than the parent's q3 - q1; ``within_bound`` holds
     when the change's median is worse than the parent's by at most the
-    metric's ``bound``, a fraction of the parent's median.
+    metric's ``bound``, a fraction of the parent's median.  The flag
+    ``unresolved`` holds when the parent's q3 - q1 exceeds that bound,
+    so its runs spread too widely to read either verdict, unless every
+    run of the change is better than every run of the parent.
     """
     plain = [r for r in runs if r["trace"] == 0]
     out = {}
@@ -120,15 +124,18 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             gain = sign * (parent["median"] - change["median"])
+            spread = parent["q3"] - parent["q1"]
+            all_win = max(sign * c for c in values["change"]) < min(
+                sign * p for p in values["parent"]
+            )
             metrics[name] = {
                 "parent": parent,
                 "change": change,
                 "change_wins": wins,
                 "change_vs_parent_median": change["median"] / parent["median"] - 1,
-                "gain_resolved": (
-                    10 * wins >= 9 * len(seeds) and gain > parent["q3"] - parent["q1"]
-                ),
+                "gain_resolved": 10 * wins >= 9 * len(seeds) and gain > spread,
                 "within_bound": -gain <= spec["bound"] * parent["median"],
+                "unresolved": spread > spec["bound"] * parent["median"] and not all_win,
             }
         out[workload] = {
             "seeds": seeds,
