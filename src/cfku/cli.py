@@ -86,6 +86,12 @@ def _diagnostic_lines(diagnostics: dict) -> list[str]:
             "    first Alexander difference at t^%d: expected %d, computed %d"
             % (alex["exponent"], alex["expected"], alex["computed"])
         )
+    count = diagnostics.get("count")
+    if count:
+        lines.append(
+            "    generator count: expected %d, computed %d"
+            % (count["expected"], count["computed"])
+        )
     return lines
 
 

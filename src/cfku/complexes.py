@@ -38,12 +38,13 @@ Conventions used throughout:
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
 Complexes are validated once, where they are built or read: through
-require_valid in build_staircase and direct_sum here and in pretzel's
-model and full complexes, and in render.complex_from_json.  A C2-C4
-model complex is its staircase, so build_staircase's check is its only
-one; the staircase of a C1 model complex or of a full complex comes
-unchecked from _staircase, and its boxes are appended to it in place by
-add_box, since the sum gets the one check.
+require_valid in build_staircase and direct_sum here, in pretzel's
+model and full complexes and the one box of its block_hfk, and in
+render.complex_from_json.  A C2-C4 model complex is its staircase, so
+build_staircase's check is its only one; the staircase of a C1 model
+complex or of a full complex comes unchecked from _staircase, and its
+boxes are appended to it in place by add_box, since the sum gets the
+one check.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;
@@ -174,7 +175,17 @@ def validate(c: FilteredComplex) -> list[str]:
             )
     if problems:
         return problems
-    for t, s in _compose(c.diff, c.diff):
+    # the grading law fixes the exponent of every entry of d^2, so an
+    # entry vanishes exactly when an even number of paths make it up:
+    # d^2 = 0 is checked on F2 supports
+    targets: dict[int, list[int]] = {}
+    for t, s in c.diff:
+        targets.setdefault(s, []).append(t)
+    odd: set[tuple[int, int]] = set()  # (s, t) with oddly many paths s -> t
+    for mid, s in c.diff:
+        for t in targets.get(mid, ()):
+            odd ^= {(s, t)}
+    for s, t in sorted(odd):
         problems.append("d^2 != 0: d^2(%s) contains %s" % (labels[s], labels[t]))
     return problems
 

@@ -1,24 +1,28 @@
 """Model complexes and closed-form invariants of the knots P(-2, m, n).
 
 For odd m >= n >= 3 the full complex is one negative staircase plus a
-number of acyclic boxes per diagonal.  Box multiplicities come from the
-closed form; the deep checks of report_dict tie them to the expected
-rank table.  The four model families differ in whether a box sits
-unpaired on the main diagonal and in the reflection behaviour of the
-staircase ends.  A model is defined by its staircase steps and, for C1,
-its box, so many pairs share one; model_triple builds and validates each
-model once per process and reduces it in both chiralities.
+number of acyclic boxes per diagonal, all of one diagonal at one corner
+and grading (box_blocks).  Box multiplicities come from the closed
+form; the deep checks of report_dict read the staircase and its box
+blocks (block_hfk) and tie them to the expected rank table.  The four
+model families differ in whether a box sits unpaired on the main
+diagonal and in the reflection behaviour of the staircase ends.  A
+model is defined by its staircase steps and, for C1, its box, so many
+pairs share one; model_triple builds and validates each model once per
+process and reduces it in both chiralities.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (
     FilteredComplex,
     _staircase,
     add_box,
+    build_box,
     build_staircase,
     dualize,
     require_valid,
@@ -48,24 +52,6 @@ class PretzelParams:
     @property
     def g(self) -> int:
         return (self.m + self.n) // 2
-
-    @property
-    def mprime(self) -> int:
-        return (self.m - 3) // 2
-
-    @property
-    def nprime(self) -> int:
-        return (self.n - 3) // 2
-
-    @property
-    def gamma(self) -> int:
-        g = self.g
-        return 1 - (g - 1) // 2 if g % 2 else 1 - g // 2
-
-    @property
-    def delta(self) -> int:
-        g = self.g
-        return (g - 1) // 2 if g % 2 else g // 2 - 1
 
     @property
     def u(self) -> int:
@@ -151,45 +137,15 @@ def expected_alexander(params: PretzelParams) -> dict[int, int]:
 # Box multiplicities
 
 
-def _assemble(params: PretzelParams, mults: dict[int, int]) -> FilteredComplex:
-    """Staircase plus the given boxes, appended in place and validated
-    once as their direct sum.
-
-    The layout, which layout_involution reads: the staircase at 0..2v,
-    then four generators a box, first the pairs of each diagonal s > 0
-    from the top, each box at (ci, cj) just before its mirror at
-    (cj, ci), then the main diagonal's boxes, a C1 complex's unpaired
-    box first.  Labels, read only for printing, suffix the t-th box of
-    a diagonal with _p{s}_{t}, _m{s}_{t} or _d{t}.
-    """
-    c = _staircase("negative", params.steps)
-    g = params.g
-    for s in sorted(mults, reverse=True):
-        if s < 0:
-            continue
-        # published anchor: every box on diagonal s shares one corner,
-        # centered so the corner sum is -2 (s even) or -1 (s odd)
-        ci = -1 - s // 2
-        cj = s + ci
-        ma = ci + cj + g + 1
-        for t in range(1, mults[s] + 1):
-            if s == 0:
-                add_box(c, (ci, cj), ma, "_d%d" % t)
-            else:
-                add_box(c, (ci, cj), ma, "_p%d_%d" % (s, t))
-                add_box(c, (cj, ci), ma, "_m%d_%d" % (s, t))
-    return require_valid(c, "direct sum")
-
-
 def box_multiplicities(params: PretzelParams) -> dict[int, int]:
     """Boxes per diagonal, from the closed form.
 
     A box on diagonal s contributes ranks 1, 2, 1 on diagonals s+1, s,
     s-1 of the i = 0 slice, so the expected-minus-staircase totals T(w)
     satisfy T(w) = b_{w-1} + 2 b_w + b_{w+1}, which determines every
-    b_s from the genus downward.  So if the complex assembled from these
-    counts reproduces the rank table (hfk_match in report_dict), they
-    are the only counts that can.
+    b_s from the genus downward.  So if the staircase and the box blocks
+    laid out from these counts reproduce the rank table (hfk_match in
+    report_dict), they are the only counts that can.
     """
     g, n = params.g, params.n
     b: dict[int, int] = {}
@@ -201,6 +157,61 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
         if (n - 3) // 2:
             b[s] = b.get(s, 0) + (n - 3) // 2
     return {s: c for s, c in b.items() if c}
+
+
+def box_blocks(params: PretzelParams) -> list[tuple[tuple[int, int], int, int]]:
+    """The boxes of the full complex as blocks (corner, Maslov grading of
+    a, count), one per diagonal s >= 0 from the top, counts from
+    box_multiplicities.
+
+    A block at corner (ci, cj) off the main diagonal stands for count
+    boxes there and count mirrors at (cj, ci), all with the one grading.
+    The published anchor is written here only: every box on diagonal s
+    shares one corner, centred so the corner sum is -2 (s even) or -1
+    (s odd), and its a sits at Maslov ci + cj + g + 1.
+    """
+    mults = box_multiplicities(params)
+    blocks = []
+    for s in sorted((s for s in mults if s >= 0), reverse=True):
+        ci = -1 - s // 2
+        cj = s + ci
+        blocks.append(((ci, cj), ci + cj + params.g + 1, mults[s]))
+    return blocks
+
+
+@functools.cache
+def _box_table() -> dict[tuple[int, int], int]:
+    """hfk_hat of the box at corner (0, 0) with a at Maslov 0, validated
+    once per process."""
+    return hfk_hat(require_valid(build_box((0, 0), 0), "box"))
+
+
+def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
+    """(rank table, generator count) of the full complex, read off the
+    staircase and one box, never assembling the complex.
+
+    The full complex is the direct sum of the staircase and its boxes,
+    and the i = 0 slice of a direct sum is the direct sum of the slices,
+    so homology, the Euler characteristic and the generator count are
+    additive.  A box at corner (i, j) with a at grading ma is the box at
+    (0, 0) with a at 0 moved by (i, j) in the plane and by ma in
+    grading, which keeps the grading law, the filtration law and d^2 = 0,
+    and moves its slice by (j - i, ma - 2i) in (alexander, maslov).  So
+    the staircase is validated as built, on every call, the one box once
+    per process (_box_table), and each block adds count shifted copies
+    of that box's table, once at its corner and, off the main diagonal,
+    once at the mirror's.
+    """
+    staircase = build_staircase("negative", params.steps)
+    box = _box_table()
+    table = Counter(hfk_hat(staircase))
+    count = len(staircase.gens)
+    for (ci, cj), ma, copies in box_blocks(params):
+        for i, j in {(ci, cj), (cj, ci)}:
+            for (w, k), rank in box.items():
+                table[(w + j - i, k + ma - 2 * i)] += copies * rank
+            count += 4 * copies
+    return dict(table), count
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +235,26 @@ def model_complex(params: PretzelParams) -> FilteredComplex:
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:
-    c = _assemble(params, box_multiplicities(params))
+    """The staircase plus the boxes of box_blocks, appended in place and
+    validated once as their direct sum.
+
+    The layout, which layout_involution reads: the staircase at 0..2v,
+    then four generators a box, first the pairs of each diagonal s > 0
+    from the top, each box at (ci, cj) just before its mirror at
+    (cj, ci), then the main diagonal's boxes, a C1 complex's unpaired
+    box first.  Labels, read only for printing, suffix the t-th box of
+    a diagonal with _p{s}_{t}, _m{s}_{t} or _d{t}.
+    """
+    c = _staircase("negative", params.steps)
+    for (ci, cj), ma, count in box_blocks(params):
+        s = cj - ci
+        for t in range(1, count + 1):
+            if s == 0:
+                add_box(c, (ci, cj), ma, "_d%d" % t)
+            else:
+                add_box(c, (ci, cj), ma, "_p%d_%d" % (s, t))
+                add_box(c, (cj, ci), ma, "_m%d_%d" % (s, t))
+    require_valid(c, "direct sum")
     want = 4 + (params.m - 2) * (params.n - 2)
     if len(c.gens) != want:
         raise ValueError(
@@ -234,7 +264,7 @@ def full_complex(params: PretzelParams) -> FilteredComplex:
 
 
 def layout_involution(c: FilteredComplex, v: int, boxes: dict[int, int]) -> Involution:
-    """The involution of a complex in _assemble's layout, with v steps a
+    """The involution of a complex in full_complex's layout, with v steps a
     side and boxes[s] boxes on diagonal s: the reflection on the
     staircase, the C1 coupling on the first main-diagonal box when that
     diagonal's count is odd, and square maps on the other boxes, pair by
@@ -254,48 +284,6 @@ def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involutio
 def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     spec = classify(params)
     return layout_involution(c, spec.v, spec.boxes)
-
-
-# ---------------------------------------------------------------------------
-# GMM generator ledger
-
-
-def gmm_ledger(params: PretzelParams) -> list[tuple[str, tuple[int, int], str]]:
-    """Published generator list: (label, (i, j), exceptional or ordinary).
-
-    Positions use i-offset 0.  The x_{2p,2q+1} line (p >= 1) is recorded
-    as printed but its filtration levels are not trusted; the ledger is a
-    counting and exceptional-position cross-check only.
-    """
-    ga, de = params.gamma, params.delta
-    mp, np_ = params.mprime, params.nprime
-    out: list[tuple[str, tuple[int, int], str]] = [
-        ("y1", (ga - 1, de + 1), "exceptional"),
-        ("y2", (ga - 1, de), "exceptional"),
-        ("y3", (de, ga - 1), "exceptional"),
-        ("y4", (de + 1, ga - 1), "exceptional"),
-    ]
-    for p in range(0, np_ + 1):
-        for q in range(0, mp + 1):
-            out.append(
-                ("x_%d_%d" % (2 * p + 1, 2 * q + 1), (ga + p + q + 1, de - p - q), "ordinary")
-            )
-    for p in range(0, np_ + 1):
-        for q in range(1, mp + 1):
-            out.append(
-                ("x_%d_%d" % (2 * p + 1, 2 * q), (ga + p + q, de - p - q), "ordinary")
-            )
-    for p in range(1, np_ + 1):
-        for q in range(0, mp + 1):
-            out.append(
-                ("x_%d_%d" % (2 * p, 2 * q + 1), (ga + mp + p - q, de - mp - p - q), "ordinary")
-            )
-    for p in range(1, np_ + 1):
-        for q in range(1, mp + 1):
-            out.append(
-                ("x_%d_%d" % (2 * p, 2 * q), (ga + mp + p - q, de - mp - p + q - 1), "ordinary")
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,40 +381,70 @@ def compute_invariants(
 def _first_difference(expected: dict, computed: dict):
     """The least key at which the two tables differ, a missing key
     counting as 0; None if they agree."""
+    if expected == computed:
+        return None
     for key in sorted(expected.keys() | computed.keys()):
         if expected.get(key, 0) != computed.get(key, 0):
             return key
     return None
 
 
+def deep_checks(
+    params: PretzelParams, table: dict[tuple[int, int], int], count: int
+) -> tuple[dict[str, bool], dict]:
+    """The deep checks of a rank table and generator count against the
+    closed forms, and their diagnostics: the first differing entry of
+    the rank table and of the Alexander polynomial, and the two
+    generator counts, each None where the two sides agree.
+
+    report_dict passes block_hfk(params); the whole complex,
+    hfk_hat(full_complex(params)) and its length, gives the same result.
+    """
+    alex = alexander_poly(table)
+    want_alex = expected_alexander(params)
+    want_table = expected_hfk(params)
+    want_count = 4 + (params.m - 2) * (params.n - 2)
+    checks = {
+        "hfk_match": table == want_table,
+        "alexander_match": (
+            alex == want_alex
+            and sum(alex.values()) == 1
+            and all(alex.get(-w) == c for w, c in alex.items())
+        ),
+        "genus_match": genus_detect(table) == params.g,
+        "count_match": count == want_count,
+    }
+    at = _first_difference(want_table, table)
+    hfk = None if at is None else {
+        "alexander": at[0], "maslov": at[1],
+        "expected": want_table.get(at, 0), "computed": table.get(at, 0),
+    }
+    at = _first_difference(want_alex, alex)
+    alexander = None if at is None else {
+        "exponent": at, "expected": want_alex.get(at, 0), "computed": alex.get(at, 0),
+    }
+    counts = None if count == want_count else {"expected": want_count, "computed": count}
+    return checks, {"hfk": hfk, "alexander": alexander, "count": counts}
+
+
 def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
     """JSON-ready report with the verification checks.
 
     A report with a failed check also carries "diagnostics": the expected
-    and computed triples and, with deep, the first differing entry of the
-    rank table and of the Alexander polynomial (None where they agree).
+    and computed triples and, with deep, those of deep_checks.
     """
     params = PretzelParams(m, n)
     computed = compute_invariants(params, mirrored)
     expected = theorem_values(params, mirrored)
     checks = {"theorem_match": computed.triple == expected.triple}
+    diagnostics: dict = {
+        "expected": list(expected.triple),
+        "computed": list(computed.triple),
+    }
     if deep:
-        full = full_complex(params)
-        ledger = gmm_ledger(params)
-        table = hfk_hat(full)
-        alex = alexander_poly(table)
-        want_alex = expected_alexander(params)
-        want_table = expected_hfk(params)
-        checks["hfk_match"] = table == want_table
-        checks["alexander_match"] = (
-            alex == want_alex
-            and sum(alex.values()) == 1
-            and all(alex.get(-w) == c for w, c in alex.items())
-        )
-        checks["genus_match"] = genus_detect(table) == params.g
-        checks["count_match"] = (
-            len(full.gens) == len(ledger) == 4 + (m - 2) * (n - 2)
-        )
+        block_checks, block_diagnostics = deep_checks(params, *block_hfk(params))
+        checks.update(block_checks)
+        diagnostics.update(block_diagnostics)
     report = {
         "m": m,
         "n": n,
@@ -444,19 +462,5 @@ def report_dict(m: int, n: int, mirrored: bool, deep: bool = True) -> dict:
         "checks": checks,
     }
     if not all(checks.values()):
-        diagnostics: dict = {
-            "expected": list(expected.triple),
-            "computed": list(computed.triple),
-        }
-        if deep:
-            at = _first_difference(want_table, table)
-            diagnostics["hfk"] = None if at is None else {
-                "alexander": at[0], "maslov": at[1],
-                "expected": want_table.get(at, 0), "computed": table.get(at, 0),
-            }
-            at = _first_difference(want_alex, alex)
-            diagnostics["alexander"] = None if at is None else {
-                "exponent": at, "expected": want_alex.get(at, 0), "computed": alex.get(at, 0),
-            }
         report["diagnostics"] = diagnostics
     return report

@@ -39,7 +39,6 @@ from cfku.pretzel import (
     expected_hfk,
     full_complex,
     full_involution,
-    gmm_ledger,
     layout_involution,
     model_complex,
     model_involution_for,
@@ -47,6 +46,7 @@ from cfku.pretzel import (
 )
 from cfku import upoly as up
 from test_homology import _dense
+from test_pretzel import gmm_ledger
 
 
 def odd_pairs(m_max):

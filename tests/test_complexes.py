@@ -180,7 +180,11 @@ def test_validate_catches_d_squared():
         ],
         {(1, 0): 0, (2, 1): 0},
     )
-    assert any("d^2" in p for p in validate(c))
+    assert validate(c) == ["d^2 != 0: d^2(x) contains z"]
+    # a second path from x to z cancels the first over F2
+    c.gens.append(Generator("w", -1, -1, 0))
+    c.diff.update({(3, 0): 0, (2, 3): 0})
+    assert validate(c) == []
 
 
 def test_subquotient_regions():

@@ -1,7 +1,9 @@
 """Replay a fixed list of CLI commands and compare stdout with tests/golden.
 
 The golden files were written by the command list below on the code
-before homology representatives became sparse vectors; a refactor that
+before homology representatives became sparse vectors, and
+verify_m-max_31.txt on the code before the deep checks read the
+staircase and its box blocks instead of the full complex; a refactor that
 changes no answer leaves every one byte-identical. To rewrite them after
 a deliberate change of output, run this file as a script.
 """
@@ -18,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = [
     ["verify", "--m-max", "9"],
     ["verify", "--m-max", "9", "--format", "json"],
+    ["verify", "--m-max", "31"],
     ["invariants", "-m", "9", "-n", "7"],
     ["invariants", "-m", "9", "-n", "7", "--mirror"],
     ["invariants", "-m", "13", "-n", "13", "--mirror", "--format", "json"],

@@ -25,7 +25,6 @@ from cfku.pretzel import (
     expected_hfk,
     full_complex,
     full_involution,
-    gmm_ledger,
     model_complex,
     model_involution_for,
     model_triple,
@@ -146,6 +145,53 @@ def test_full_complex_matches_rank_table():
         assert genus_detect(table) == params.g
 
 
+# ---------------------------------------------------------------------------
+# GMM generator ledger
+
+
+def gmm_ledger(params):
+    """Published generator list: (label, (i, j), exceptional or ordinary).
+
+    Positions use i-offset 0, with m' = (m-3)/2, n' = (n-3)/2 and the
+    anchors gamma, delta of the published list.  The x_{2p,2q+1} line
+    (p >= 1) is recorded as printed but its filtration levels are not
+    trusted; the ledger is a counting and exceptional-position
+    cross-check only.  Its length, (2n'+1)(2m'+1) + 4, is
+    4 + (m-2)(n-2) for every pair, the count that count_match checks.
+    """
+    g = params.g
+    ga = 1 - (g - 1) // 2 if g % 2 else 1 - g // 2
+    de = (g - 1) // 2 if g % 2 else g // 2 - 1
+    mp, np_ = (params.m - 3) // 2, (params.n - 3) // 2
+    out = [
+        ("y1", (ga - 1, de + 1), "exceptional"),
+        ("y2", (ga - 1, de), "exceptional"),
+        ("y3", (de, ga - 1), "exceptional"),
+        ("y4", (de + 1, ga - 1), "exceptional"),
+    ]
+    for p in range(0, np_ + 1):
+        for q in range(0, mp + 1):
+            out.append(
+                ("x_%d_%d" % (2 * p + 1, 2 * q + 1), (ga + p + q + 1, de - p - q), "ordinary")
+            )
+    for p in range(0, np_ + 1):
+        for q in range(1, mp + 1):
+            out.append(
+                ("x_%d_%d" % (2 * p + 1, 2 * q), (ga + p + q, de - p - q), "ordinary")
+            )
+    for p in range(1, np_ + 1):
+        for q in range(0, mp + 1):
+            out.append(
+                ("x_%d_%d" % (2 * p, 2 * q + 1), (ga + mp + p - q, de - mp - p - q), "ordinary")
+            )
+    for p in range(1, np_ + 1):
+        for q in range(1, mp + 1):
+            out.append(
+                ("x_%d_%d" % (2 * p, 2 * q), (ga + mp + p - q, de - mp - p + q - 1), "ordinary")
+            )
+    return out
+
+
 def test_ledger_counts_and_positions():
     params = PretzelParams(5, 5)
     ledger = gmm_ledger(params)
@@ -177,8 +223,8 @@ def test_ledger_plane_multiset_property():
         # the x_{2p,2q+1} lines (p >= 1) whose printed levels are not trusted
         flagged = {
             "x_%d_%d" % (2 * p, 2 * q + 1)
-            for p in range(1, params.nprime + 1)
-            for q in range(0, params.mprime + 1)
+            for p in range(1, (n - 3) // 2 + 1)
+            for q in range(0, (m - 3) // 2 + 1)
         }
         cpos = Counter((g.i, g.j) for g in c.gens)
         lpos = Counter(
@@ -250,6 +296,7 @@ def test_mismatch_diagnostics_name_the_first_difference(monkeypatch, capsys):
         "computed": [0, 0, -2],
         "hfk": {"alexander": 1, "maslov": 5, "expected": 3, "computed": 2},
         "alexander": None,
+        "count": None,
     }
     assert cli.main(["invariants", "-m", "5", "-n", "5"]) == cli.MISMATCH_ERROR
     assert capsys.readouterr().out.split("verdict: MISMATCH\n")[1].splitlines() == [
@@ -267,6 +314,20 @@ def test_mismatch_diagnostics_name_the_first_difference(monkeypatch, capsys):
     monkeypatch.setattr(pretzel, "expected_alexander", shifted_constant_term)
     rep = report_dict(5, 5, False, deep=True)
     assert rep["diagnostics"]["alexander"] == {"exponent": 0, "expected": 5, "computed": 3}
+
+
+def test_wrong_box_count_is_a_failed_check(monkeypatch, capsys):
+    # the true counts are {3: 1, -3: 1, 1: 2, -1: 2}: 39 generators, not 31
+    monkeypatch.setattr(pretzel, "box_multiplicities", lambda p: {3: 1, -3: 1, 1: 1, -1: 1})
+    rep = report_dict(9, 7, False, deep=True)
+    assert rep["checks"]["count_match"] is False
+    assert rep["diagnostics"]["count"] == {"expected": 39, "computed": 31}
+    assert cli.main(["invariants", "-m", "9", "-n", "7"]) == cli.MISMATCH_ERROR
+    out = capsys.readouterr().out
+    assert "  count_match      MISMATCH\n" in out
+    assert out.endswith("    generator count: expected 39, computed 31\n")
+    with pytest.raises(ValueError, match="full complex has 31 generators, expected 39"):
+        full_complex(PretzelParams(9, 7))
 
 
 def test_shallow_mismatch_diagnostics_hold_the_triples(monkeypatch):
@@ -306,6 +367,46 @@ def test_each_pretzel_complex_is_validated_once(monkeypatch):
     calls.clear()
     c = model_complex(PretzelParams(7, 5))  # C2: the staircase alone
     assert calls == [len(c.gens)]
+
+
+def test_block_path_validates_the_staircase_and_one_box(monkeypatch):
+    pretzel._box_table.cache_clear()
+    calls = _counting_validate(monkeypatch)
+    params = PretzelParams(9, 9)
+    _table, count = pretzel.block_hfk(params)
+    assert calls == [2 * len(params.steps) + 1, 4]
+    calls.clear()
+    pretzel.block_hfk(PretzelParams(7, 5))  # the box is validated once per process
+    assert calls == [2 * len(PretzelParams(7, 5).steps) + 1]
+    assert count == len(full_complex(params).gens)
+
+
+def _whole_complex_checks(params):
+    full = full_complex(params)
+    return pretzel.deep_checks(params, hfk_hat(full), len(full.gens))
+
+
+def test_block_path_equals_the_whole_complex():
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            full = full_complex(params)
+            assert pretzel.block_hfk(params) == (hfk_hat(full), len(full.gens)), (m, n)
+
+
+def test_block_moved_off_its_diagonal_fails_both_paths_alike(monkeypatch):
+    params = PretzelParams(9, 9)
+    real = pretzel.box_blocks(params)
+    assert real[0] == ((-3, 1), 8, 1)  # diagonal 4, with its mirror on -4
+    # to diagonal 5 and -5, where no other box sits, so labels stay unique
+    moved = [((-3, 2), 8, 1)] + real[1:]
+    monkeypatch.setattr(pretzel, "box_blocks", lambda p: list(moved))
+    rep = report_dict(9, 9, False, deep=True)
+    checks, diagnostics = _whole_complex_checks(params)
+    assert checks["hfk_match"] is False and checks["count_match"] is True
+    assert {k: v for k, v in rep["checks"].items() if k != "theorem_match"} == checks
+    assert {k: v for k, v in rep["diagnostics"].items() if k in diagnostics} == diagnostics
+    assert diagnostics["hfk"] is not None and diagnostics["count"] is None
 
 
 def _summed_full_complex(params):
