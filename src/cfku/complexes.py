@@ -39,17 +39,18 @@ Conventions used throughout:
 
 Complexes are validated once, where they are built or read: through
 require_valid in build_staircase and direct_sum here, in pretzel's
-model and full complexes and the one box of its block_hfk, and in
-render.complex_from_json.  A C2-C4 model complex is its staircase, so
-build_staircase's check is its only one; the staircase of a C1 model
-complex or of a full complex comes unchecked from _staircase, and its
-boxes are appended to it in place by add_box, since the sum gets the
-one check.
+model and full complexes, and in render.complex_from_json.  pretzel's
+block_hfk validates the one box once per process and each staircase
+once per step tuple per process, before their rank tables are kept.
+A C2-C4 model complex is its staircase, so build_staircase's check is
+its only one; the staircase of a C1 model complex or of a full complex
+comes unchecked from _staircase, and its boxes are appended to it in
+place by add_box, since the sum gets the one check.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;
 homology.sparse_homology still checks d^2 = 0 on every differential it
-is given.
+is given, on F2 supports through d_squared_support, as validate does.
 """
 
 from __future__ import annotations
@@ -175,19 +176,28 @@ def validate(c: FilteredComplex) -> list[str]:
             )
     if problems:
         return problems
-    # the grading law fixes the exponent of every entry of d^2, so an
-    # entry vanishes exactly when an even number of paths make it up:
-    # d^2 = 0 is checked on F2 supports
-    targets: dict[int, list[int]] = {}
-    for t, s in c.diff:
-        targets.setdefault(s, []).append(t)
-    odd: set[tuple[int, int]] = set()  # (s, t) with oddly many paths s -> t
-    for mid, s in c.diff:
-        for t in targets.get(mid, ()):
-            odd ^= {(s, t)}
-    for s, t in sorted(odd):
+    for s, t in sorted(d_squared_support(c.diff)):
         problems.append("d^2 != 0: d^2(%s) contains %s" % (labels[s], labels[t]))
     return problems
+
+
+def d_squared_support(diff: SparseMap) -> set[tuple[int, int]]:
+    """The (s, t) joined by an odd number of paths s -> mid -> t of diff.
+
+    Once the grading law holds, it fixes the exponent of every entry of
+    d^2, so an entry vanishes exactly when an even number of paths make
+    it up: this set is empty exactly when d^2 = 0.  validate and
+    homology.sparse_homology call it only after checking that law.
+    """
+    targets: dict[int, set[int]] = {}
+    for t, s in diff:
+        targets.setdefault(s, set()).add(t)
+    odd: dict[int, set[int]] = {}  # s -> the t with oddly many paths s -> t
+    for mid, s in diff:
+        ts = targets.get(mid)
+        if ts:
+            odd.setdefault(s, set()).symmetric_difference_update(ts)
+    return {(s, t) for s, ts in odd.items() for t in ts}
 
 
 # ---------------------------------------------------------------------------

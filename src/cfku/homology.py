@@ -2,15 +2,17 @@
 
 sparse_homology is the one homology routine.  It takes the differential
 as an exponent map (one int a per entry, meaning U^a, as everywhere in
-cfku), checks d^2 = 0 on that map and runs one Gaussian elimination
-(eliminate) over all arrows.  Each step pivots on the entry U^a of
-lowest exponent in what remains; a unit pivot (a = 0) cancels an acyclic
-piece, and a pivot with a > 0 splits off a torsion summand F[U]/U^a.
-Generators left with no arrows are the towers.  eliminate checks the
-grading law M(t) - 2a = M(s) - 1 on every entry; the law fixes every
-exponent, so it works on F2 supports and reads the exponents off the
-gradings.  This is the structure theorem for free graded complexes over
-F[U] run as an algorithm (the reduction method of Kaczynski, Mischaikow
+cfku) and runs one Gaussian elimination (eliminate) over all arrows.
+Each step pivots on the entry U^a of lowest exponent in what remains; a
+unit pivot (a = 0) cancels an acyclic piece, and a pivot with a > 0
+splits off a torsion summand F[U]/U^a.  Generators left with no arrows
+are the towers.  eliminate checks the grading law M(t) - 2a = M(s) - 1
+on every entry; the law fixes every exponent, so it works on F2
+supports and reads the exponents off the gradings.  After it, and on
+F2 supports for the same reason, sparse_homology checks d^2 = 0 on
+every differential (complexes.d_squared_support).  This is the
+structure theorem for free graded complexes over F[U] run as an
+algorithm (the reduction method of Kaczynski, Mischaikow
 and Mrozek, "Computational Homology").  The elimination keeps its
 inclusion and projection, so every summand comes with an explicit cycle
 representative and a coordinate functional, both sparse vectors
@@ -42,8 +44,8 @@ from . import upoly as up
 from .complexes import (
     FilteredComplex,
     SparseMap,
-    _compose,
     add_term,
+    d_squared_support,
     subquotient,
 )
 
@@ -222,11 +224,14 @@ def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
     diff holds one exponent per entry.  One elimination over all arrows
     splits the complex into towers and torsion pieces; representatives
     and functionals are the {original index: exponent} vectors it returns.
+    eliminate checks the grading law on every entry, and once it has,
+    d^2 = 0 is checked on F2 supports (complexes.d_squared_support)
+    before anything is read off the elimination.
     """
     n = len(maslov)
-    if _compose(diff, diff):
-        raise ValueError("differential does not square to zero")
     keep, _reduced, inc, proj, pieces = eliminate(diff, maslov, units_only=False)
+    if d_squared_support(diff):
+        raise ValueError("differential does not square to zero")
     towers: list[dict[int, int]] = [{} for _ in keep]
     functionals: list[dict[int, int]] = [{} for _ in keep]
     for (o, k), e in inc.items():

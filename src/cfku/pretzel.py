@@ -10,6 +10,14 @@ diagonal and in the reflection behaviour of the staircase ends.  A
 model is defined by its staircase steps and, for C1, its box, so many
 pairs share one; model_triple builds and validates each model once per
 process and reduces it in both chiralities.
+
+The steps depend on m + n alone, so the pure work that a report repeats
+for the same steps or pair is kept per process, as model_triple is: the
+staircase's rank table (built and validated once per step tuple), the
+box's, n(K) of the steps and the box counts of the pair.  Each memo
+holds only immutable values or read-only views, and keeps nothing for a
+call that raises.  classify is not cached: it checks n(K) and the
+main-diagonal parity on every call, through the name box_multiplicities.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .complexes import (
     FilteredComplex,
@@ -74,6 +83,9 @@ class ModelSpec:
 
 FAMILIES = {(1, 1): "C1", (3, 1): "C2", (3, 3): "C3", (1, 3): "C4"}
 
+# n(K) of the staircase steps, once per step tuple
+_steps_n_of_k = functools.cache(staircase_n_of_k)
+
 
 def classify(params: PretzelParams) -> ModelSpec:
     family = FAMILIES[(params.m % 4, params.n % 4)]
@@ -82,7 +94,7 @@ def classify(params: PretzelParams) -> ModelSpec:
         n_of_k = (params.m + params.n - 2) // 4
     else:
         n_of_k = (params.m + params.n) // 4
-    if n_of_k != staircase_n_of_k(params.steps):
+    if n_of_k != _steps_n_of_k(params.steps):
         raise ValueError("n(K) %d disagrees with the staircase steps" % n_of_k)
     mults = box_multiplicities(params)
     main = mults.get(0, 0) % 2
@@ -146,8 +158,15 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
     b_s from the genus downward.  So if the staircase and the box blocks
     laid out from these counts reproduce the rank table (hfk_match in
     report_dict), they are the only counts that can.
+
+    A fresh dict on each call, from the (diagonal, count) pairs that
+    _box_counts keeps once per (g, n).
     """
-    g, n = params.g, params.n
+    return dict(_box_counts(params.g, params.n))
+
+
+@functools.cache
+def _box_counts(g: int, n: int) -> tuple[tuple[int, int], ...]:
     b: dict[int, int] = {}
     for k in range(1, (n - 5) // 2 + 1):
         s = g - 2 * k - 3
@@ -156,7 +175,7 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
     for s in range(g - n, n - g - 1, -2):
         if (n - 3) // 2:
             b[s] = b.get(s, 0) + (n - 3) // 2
-    return {s: c for s, c in b.items() if c}
+    return tuple((s, c) for s, c in b.items() if c)
 
 
 def box_blocks(params: PretzelParams) -> list[tuple[tuple[int, int], int, int]]:
@@ -180,10 +199,20 @@ def box_blocks(params: PretzelParams) -> list[tuple[tuple[int, int], int, int]]:
 
 
 @functools.cache
-def _box_table() -> dict[tuple[int, int], int]:
+def _box_table() -> MappingProxyType:
     """hfk_hat of the box at corner (0, 0) with a at Maslov 0, validated
-    once per process."""
-    return hfk_hat(require_valid(build_box((0, 0), 0), "box"))
+    once per process; read-only, since the memo keeps it."""
+    return MappingProxyType(hfk_hat(require_valid(build_box((0, 0), 0), "box")))
+
+
+@functools.cache
+def _staircase_table(steps: tuple[int, ...]) -> tuple[MappingProxyType, int]:
+    """(hfk_hat, generator count) of the negative staircase with these
+    steps, which depend on m + n alone: built and validated once per
+    step tuple per process, the table read-only.  A staircase that fails
+    validation raises, and functools.cache keeps no entry for it."""
+    staircase = build_staircase("negative", steps)
+    return MappingProxyType(hfk_hat(staircase)), len(staircase.gens)
 
 
 def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
@@ -197,15 +226,15 @@ def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
     (0, 0) with a at 0 moved by (i, j) in the plane and by ma in
     grading, which keeps the grading law, the filtration law and d^2 = 0,
     and moves its slice by (j - i, ma - 2i) in (alexander, maslov).  So
-    the staircase is validated as built, on every call, the one box once
-    per process (_box_table), and each block adds count shifted copies
-    of that box's table, once at its corner and, off the main diagonal,
-    once at the mirror's.
+    the staircase is validated once per step tuple per process
+    (_staircase_table), the one box once per process (_box_table), and
+    each block adds count shifted copies of that box's table, once at
+    its corner and, off the main diagonal, once at the mirror's, to a
+    Counter copied from the staircase's.
     """
-    staircase = build_staircase("negative", params.steps)
+    stair, count = _staircase_table(params.steps)
     box = _box_table()
-    table = Counter(hfk_hat(staircase))
-    count = len(staircase.gens)
+    table = Counter(stair)
     for (ci, cj), ma, copies in box_blocks(params):
         for i, j in {(ci, cj), (cj, ci)}:
             for (w, k), rank in box.items():

@@ -3,7 +3,10 @@
 The golden files were written by the command list below on the code
 before homology representatives became sparse vectors, and
 verify_m-max_31.txt on the code before the deep checks read the
-staircase and its box blocks instead of the full complex; a refactor that
+staircase and its box blocks instead of the full complex, and
+verify_m-max_31_format_json.txt, which pins the names and diagnostics of
+every deep check, on the code before the staircase's rank table was kept
+once per step tuple; a refactor that
 changes no answer leaves every one byte-identical. To rewrite them after
 a deliberate change of output, run this file as a script.
 """
@@ -21,6 +24,7 @@ COMMANDS = [
     ["verify", "--m-max", "9"],
     ["verify", "--m-max", "9", "--format", "json"],
     ["verify", "--m-max", "31"],
+    ["verify", "--m-max", "31", "--format", "json"],
     ["invariants", "-m", "9", "-n", "7"],
     ["invariants", "-m", "9", "-n", "7", "--mirror"],
     ["invariants", "-m", "13", "-n", "13", "--mirror", "--format", "json"],

@@ -371,6 +371,7 @@ def test_each_pretzel_complex_is_validated_once(monkeypatch):
 
 def test_block_path_validates_the_staircase_and_one_box(monkeypatch):
     pretzel._box_table.cache_clear()
+    pretzel._staircase_table.cache_clear()
     calls = _counting_validate(monkeypatch)
     params = PretzelParams(9, 9)
     _table, count = pretzel.block_hfk(params)
@@ -378,7 +379,66 @@ def test_block_path_validates_the_staircase_and_one_box(monkeypatch):
     calls.clear()
     pretzel.block_hfk(PretzelParams(7, 5))  # the box is validated once per process
     assert calls == [2 * len(PretzelParams(7, 5).steps) + 1]
+    calls.clear()
+    pretzel.block_hfk(PretzelParams(11, 7))  # the staircase of 9 + 9, once per steps
+    assert calls == []
     assert count == len(full_complex(params).gens)
+
+
+def _clear_memos():
+    """Empty every per-process memo of cfku.pretzel."""
+    for memo in (
+        model_triple,
+        pretzel._staircase_table,
+        pretzel._box_table,
+        pretzel._box_counts,
+        pretzel._steps_n_of_k,
+    ):
+        memo.cache_clear()
+
+
+def test_memos_hand_out_fresh_values():
+    params = PretzelParams(9, 7)
+    mults = box_multiplicities(params)
+    want = dict(mults)
+    mults[99] = 1
+    mults[3] += 5
+    assert box_multiplicities(params) == want
+    assert classify(params).boxes == want
+    table, count = pretzel.block_hfk(params)
+    want_table = dict(table)
+    table[(0, 0)] = 7
+    table.clear()
+    assert pretzel.block_hfk(params) == (want_table, count)
+
+
+def test_failed_staircase_is_not_remembered(monkeypatch):
+    pretzel._staircase_table.cache_clear()
+    params = PretzelParams(9, 9)
+    monkeypatch.setattr(complexes, "validate", lambda c: ["broken"])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"staircase invalid: \['broken'\]"):
+            pretzel.block_hfk(params)
+    assert pretzel._staircase_table.cache_info().currsize == 0
+    monkeypatch.undo()
+    calls = _counting_validate(monkeypatch)
+    full = full_complex(params)
+    calls.clear()
+    assert pretzel.block_hfk(params) == (hfk_hat(full), len(full.gens))
+    assert calls == [2 * len(params.steps) + 1]  # validated now, then kept
+
+
+def test_reports_do_not_depend_on_warm_memos():
+    pairs = [(m, n) for m in range(3, 22, 2) for n in range(3, m + 1, 2)]
+    assert len(pairs) == 55
+    cold = {}
+    for m, n in pairs:
+        for mirrored in (False, True):
+            _clear_memos()
+            cold[m, n, mirrored] = report_dict(m, n, mirrored)
+    warm = {(m, n, mi): report_dict(m, n, mi) for m, n in pairs for mi in (False, True)}
+    assert warm == cold
+    assert all(all(r["checks"].values()) for r in cold.values())
 
 
 def _whole_complex_checks(params):
@@ -541,7 +601,7 @@ def test_sweep_reports_do_not_depend_on_case_order():
     ]
     runs = []
     for order in (cases, cases[::-1]):
-        model_triple.cache_clear()
+        _clear_memos()
         runs.append({case[:3]: report_dict(*case) for case in order})
     assert runs[0] == runs[1]
     assert all(all(r["checks"].values()) for r in runs[0].values())
