@@ -27,7 +27,6 @@ from .involution import (
 from .pretzel import (
     PretzelParams,
     full_complex,
-    full_involution,
     model_complex,
     model_involution_for,
     report_dict,
@@ -213,11 +212,7 @@ def cmd_show(parser, args) -> int:
         else:
             _emit(render.generator_table(c), args.out)
         return 0
-    iota = (
-        full_involution(params, c)
-        if args.which == "full"
-        else model_involution_for(params, c)
-    )
+    iota = model_involution_for(params, c)
     if args.which == "A0":
         sq = subquotient(c)
         if args.format == "json":

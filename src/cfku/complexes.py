@@ -38,14 +38,15 @@ Conventions used throughout:
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
 Complexes are validated once, where they are built or read: through
-require_valid in build_staircase and direct_sum here, in pretzel's
-model and full complexes, and in render.complex_from_json.  pretzel's
-block_hfk validates the one box once per process and each staircase
-once per step tuple per process, before their rank tables are kept.
-A C2-C4 model complex is its staircase, so build_staircase's check is
-its only one; the staircase of a C1 model complex or of a full complex
-comes unchecked from _staircase, and its boxes are appended to it in
-place by add_box, since the sum gets the one check.
+require_valid in build_staircase and direct_sum here, in
+render.complex_from_json, and in pretzel on its pieces, each once per
+process: the staircase of each step tuple (build_staircase), the C1
+model complex of each (its staircase plus a box appended in place by
+add_box, checked as their sum), the box and the square pair.  A C2-C4
+model complex is its staircase.  A full complex is never validated
+whole: pretzel._check_layout proves in one linear pass that it is the
+validated staircase, C1 box and box laid out, with no arrow between
+two blocks, which is what validate would find.
 dualize takes a valid complex and returns its mirror unchecked, since
 the grading law, the filtration law and d^2 = 0 all transpose.
 subquotient and everything downstream take their input as valid;

@@ -13,9 +13,15 @@ lists these maps come from are easy to mistranscribe.  It checks the
 grading law of shift 0 and the exact transposed slot on every entry
 (the slot implies the skew-filtration), iota d = d iota, and iota^2 =
 sarkar(c), the Sarkar map 1 + U^-1 Phi Psi, computed there and not
-stored.  It runs once, in involution_from_rules.  The involution of a
-dual complex is the transpose of a validated one and is not checked
-again: every one of those laws transposes.
+stored.  It runs in involution_from_rules, on every involution built
+whole and on pretzel's pieces once per process: the involution of each
+model and the square pair.  pretzel.full_involution is not validated
+whole: pretzel._check_layout proves that it is the head's involution
+and copies of the validated square pair, block by block, which keeps
+every law.  The involution of a dual complex is the transpose of a
+validated one and is not checked again: every one of those laws
+transposes.  dual_involution guards that its complex is the dual;
+transposed, for a caller that has just built the dual, does not.
 """
 
 from __future__ import annotations
@@ -143,6 +149,12 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
         or any(c.diff.get((s, t)) != a for (t, s), a in dual_c.diff.items())
     ):
         raise ValueError("dual_involution needs the dual of the involution's complex")
+    return transposed(iota, dual_c)
+
+
+def transposed(iota: Involution, dual_c: FilteredComplex) -> Involution:
+    """iota's matrix transposed slot for slot onto dual_c, unchecked: for
+    a caller that has just built dual_c as dualize of iota's complex."""
     return Involution(dual_c, {(s, t): a for (t, s), a in iota.matrix.items()})
 
 

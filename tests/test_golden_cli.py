@@ -6,8 +6,10 @@ verify_m-max_31.txt on the code before the deep checks read the
 staircase and its box blocks instead of the full complex, and
 verify_m-max_31_format_json.txt, which pins the names and diagnostics of
 every deep check, on the code before the staircase's rank table was kept
-once per step tuple; a refactor that
-changes no answer leaves every one byte-identical. To rewrite them after
+once per step tuple, and show_m_11_n_7_which_full_format_json.txt and
+hfk_m_11_n_7.txt, a C3 pair with boxes off the main diagonal, on the
+code before the full complex and its involution were checked by blocks;
+a refactor that changes no answer leaves every one byte-identical. To rewrite them after
 a deliberate change of output, run this file as a script.
 """
 
@@ -36,6 +38,8 @@ COMMANDS = [
         for fmt in ("table", "json")
     ),
     ["show", "-m", "9", "-n", "9", "--which", "full", "--format", "json"],
+    ["show", "-m", "11", "-n", "7", "--which", "full", "--format", "json"],
+    ["hfk", "-m", "11", "-n", "7"],
     ["examples", "trefoil"],
     ["examples", "figure-eight"],
     ["examples", "unknot"],

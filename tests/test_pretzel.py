@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from cfku import cli, complexes, pretzel
+from cfku import cli, complexes, involution, pretzel
 from cfku.complexes import _staircase, build_box, build_staircase, direct_sum, dualize, validate
 from cfku.cone import involutive_invariants
 from cfku.involution import dual_involution, validate_involution
@@ -357,21 +357,54 @@ def _counting_validate(monkeypatch):
     return calls
 
 
+def _counting_validate_involution(monkeypatch):
+    calls = []
+    real = involution.validate_involution
+
+    def counting(iota):
+        calls.append(len(iota.complex.gens))
+        return real(iota)
+
+    monkeypatch.setattr(involution, "validate_involution", counting)
+    return calls
+
+
 def test_each_pretzel_complex_is_validated_once(monkeypatch):
+    # each distinct piece once per process: the staircase of the steps,
+    # each head, the box and the square pair; never a whole complex
+    _clear_memos()
     calls = _counting_validate(monkeypatch)
-    c = full_complex(PretzelParams(9, 9))
-    assert calls == [len(c.gens)]
+    iota_calls = _counting_validate_involution(monkeypatch)
+    params = PretzelParams(9, 9)  # C1
+    stair = 2 * len(params.steps) + 1
+    c = full_complex(params)
+    assert calls == [stair, stair + 4, 4] and len(c.gens) == 53
+    assert iota_calls == [stair + 4]  # the C1 head
     calls.clear()
+    iota_calls.clear()
+    for mirrored in (False, True):
+        compute_invariants(params, mirrored, use_full=True)
+    compute_invariants(params, mirrored=True)  # the model is the head
+    assert (calls, iota_calls) == ([8], [8])  # the square pair
+    calls.clear()
+    iota_calls.clear()
+    eleven_seven = PretzelParams(11, 7)  # C3, the same steps
+    full_involution(eleven_seven, full_complex(eleven_seven))
+    compute_invariants(eleven_seven, use_full=True)
+    assert (calls, iota_calls) == ([], [stair])  # the uncoupled head
+    iota_calls.clear()
     c = model_complex(PretzelParams(5, 5))  # C1: staircase plus box
-    assert calls == [len(c.gens)] and len(c.gens) == 9 + 4
+    assert calls == [9, 13] and len(c.gens) == 9 + 4
     calls.clear()
     c = model_complex(PretzelParams(7, 5))  # C2: the staircase alone
     assert calls == [len(c.gens)]
+    calls.clear()
+    model_complex(PretzelParams(7, 5))
+    assert calls == []
 
 
 def test_block_path_validates_the_staircase_and_one_box(monkeypatch):
-    pretzel._box_table.cache_clear()
-    pretzel._staircase_table.cache_clear()
+    _clear_memos()
     calls = _counting_validate(monkeypatch)
     params = PretzelParams(9, 9)
     _table, count = pretzel.block_hfk(params)
@@ -387,14 +420,21 @@ def test_block_path_validates_the_staircase_and_one_box(monkeypatch):
 
 def _clear_memos():
     """Empty every per-process memo of cfku.pretzel."""
-    for memo in (
-        model_triple,
-        pretzel._staircase_table,
-        pretzel._box_table,
-        pretzel._box_counts,
-        pretzel._steps_n_of_k,
-    ):
+    for memo in _MEMOS:
         memo.cache_clear()
+
+
+_MEMOS = (
+    model_triple,
+    pretzel._head,
+    pretzel._pair,
+    pretzel._staircase_piece,
+    pretzel._box,
+    pretzel._staircase_table,
+    pretzel._box_table,
+    pretzel._box_counts,
+    pretzel._steps_n_of_k,
+)
 
 
 def test_memos_hand_out_fresh_values():
@@ -412,20 +452,57 @@ def test_memos_hand_out_fresh_values():
     assert pretzel.block_hfk(params) == (want_table, count)
 
 
+def _memos_hold(memos=_MEMOS[:7]):
+    return [memo.cache_info().currsize for memo in memos]
+
+
 def test_failed_staircase_is_not_remembered(monkeypatch):
-    pretzel._staircase_table.cache_clear()
+    _clear_memos()
     params = PretzelParams(9, 9)
     monkeypatch.setattr(complexes, "validate", lambda c: ["broken"])
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"staircase invalid: \['broken'\]"):
-            pretzel.block_hfk(params)
-    assert pretzel._staircase_table.cache_info().currsize == 0
+    for call in (
+        lambda: pretzel.block_hfk(params),
+        lambda: compute_invariants(params, mirrored=True),
+        lambda: compute_invariants(params, mirrored=True, use_full=True),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"staircase invalid: \['broken'\]"):
+                call()
+    assert _memos_hold() == [0] * 7
     monkeypatch.undo()
     calls = _counting_validate(monkeypatch)
+    table = pretzel.block_hfk(params)
+    assert calls == [2 * len(params.steps) + 1, 4]  # validated now, then kept
     full = full_complex(params)
-    calls.clear()
-    assert pretzel.block_hfk(params) == (hfk_hat(full), len(full.gens))
-    assert calls == [2 * len(params.steps) + 1]  # validated now, then kept
+    assert table == (hfk_hat(full), len(full.gens))
+
+
+def test_failed_involution_piece_is_not_remembered(monkeypatch):
+    _clear_memos()
+    params = PretzelParams(9, 9)
+    real = involution.validate_involution
+    monkeypatch.setattr(involution, "validate_involution", lambda iota: ["broken"])
+    for _ in range(2):  # the C1 head fails: only its staircase, valid, is kept
+        with pytest.raises(ValueError, match=r"invalid involution: \['broken'\]"):
+            compute_invariants(params, mirrored=True, use_full=True)
+        with pytest.raises(ValueError, match=r"invalid involution: \['broken'\]"):
+            compute_invariants(params, mirrored=True)
+    assert _memos_hold() == [0, 0, 0, 1, 0, 0, 0]
+    # only the square pair, on its 8 generators, fails: the head and the
+    # box are valid and kept, the pair is not
+    monkeypatch.setattr(
+        involution, "validate_involution",
+        lambda iota: ["broken"] if len(iota.complex.gens) == 8 else real(iota),
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"invalid involution: \['broken'\]"):
+            compute_invariants(params, mirrored=True, use_full=True)
+    assert pretzel._pair.cache_info().currsize == 0
+    monkeypatch.undo()
+    iota_calls = _counting_validate_involution(monkeypatch)
+    got = compute_invariants(params, mirrored=True, use_full=True)
+    assert got.triple == theorem_values(params, mirrored=True).triple
+    assert iota_calls == [8]
 
 
 def test_reports_do_not_depend_on_warm_memos():
@@ -467,6 +544,99 @@ def test_block_moved_off_its_diagonal_fails_both_paths_alike(monkeypatch):
     assert {k: v for k, v in rep["checks"].items() if k != "theorem_match"} == checks
     assert {k: v for k, v in rep["diagnostics"].items() if k in diagnostics} == diagnostics
     assert diagnostics["hfk"] is not None and diagnostics["count"] is None
+
+
+# ---------------------------------------------------------------------------
+# Checks by blocks: the full complex and its involution from validated pieces
+
+
+def test_block_checks_accept_what_the_whole_validators_accept():
+    pairs = [(m, n) for m in range(3, 22, 2) for n in range(3, m + 1, 2)]
+    assert len(pairs) == 55
+    for m, n in pairs:
+        params = PretzelParams(m, n)
+        c = full_complex(params)
+        iota = full_involution(params, c)
+        assert validate(c) == [], (m, n)
+        assert validate_involution(iota) == [], (m, n)
+        d = dualize(c)
+        assert validate_involution(dual_involution(iota, d)) == [], (m, n)
+
+
+def _broken_full(change):
+    """The C1 pair (9, 9), whose layout is the staircase at 0..16, the
+    pairs (17, 21), (25, 29) and (33, 37), the C1 box at 41 and the
+    main-diagonal pair (45, 49), with change applied to its complex and
+    involution matrix."""
+    params = PretzelParams(9, 9)
+    assert pretzel._box_offsets(8, classify(params).boxes) == (
+        41, [17, 21, 25, 29, 33, 37, 45, 49]
+    )
+    c = full_complex(params)
+    rules = dict(full_involution(params, c).matrix)
+    change(c, rules)
+    return c, params, rules
+
+
+def _shift(c, k, dm=0, di=0, dj=0):
+    g = c.gens[k]
+    c.gens[k] = g._replace(maslov=g.maslov + dm, i=g.i + di, j=g.j + dj)
+
+
+_HEAD_D = "the differential of the head is not the validated head's"
+_HEAD_IOTA = "iota on the head is not the validated reflection and C1 coupling"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda c, f: _shift(c, 22, dm=2), "the box at 21 is not the validated box translated"),
+        (lambda c, f: c.diff.pop((20, 18)), "the box at 17 lacks an arrow of the validated box"),
+        (  # from c of the box at 17 to ue of the box at 21
+            lambda c, f: c.diff.update({(24, 19): 0}),
+            "the differential has 1 entries outside the blocks",
+        ),
+        (
+            lambda c, f: [_shift(c, k, dm=2) for k in range(29, 33)],
+            "the mirror at 29 of the box at 25 has another grading",
+        ),
+        (
+            lambda c, f: [_shift(c, k, di=1, dj=-1) for k in range(33, 37)],
+            "the pair at 33, 37 is not at mirrored corners",
+        ),
+        (lambda c, f: f.pop((29, 25)), "iota on the pair at 25, 29 is not square_pair's"),
+        (lambda c, f: f.update({(46, 17): 0}), "iota has 1 entries outside the blocks"),
+        (lambda c, f: f.pop((44, 0)), _HEAD_IOTA),  # z0 -> U^-1 ue of the C1 box
+        (lambda c, f: f.pop((0, 41)), _HEAD_IOTA),  # a -> z0
+        (
+            lambda c, f: [_shift(c, k, dm=2, di=1, dj=1) for k in range(41, 45)],
+            "the C1 box at 41 is not the validated head's",
+        ),
+        (lambda c, f: _shift(c, 3, dm=2), "the staircase is not the validated head's"),
+        (lambda c, f: c.diff.pop((5, 3)), _HEAD_D),
+        (lambda c, f: c.diff.pop((44, 42)), _HEAD_D),
+        (
+            lambda c, f: c.gens.__setitem__(18, c.gens[18]._replace(label="a_d1")),
+            "duplicate generator labels",
+        ),
+    ],
+)
+def test_block_checks_name_the_broken_block(change, message):
+    c, params, rules = _broken_full(change)
+    with pytest.raises(ValueError, match=message):
+        pretzel._check_layout(c, params.steps, classify(params).boxes, rules)
+    whole = full_complex(params)
+    if (c.gens, c.diff) != (whole.gens, whole.diff):
+        with pytest.raises(ValueError, match=message):  # full_involution checks c too
+            full_involution(params, c)
+
+
+def test_block_checks_reject_a_complex_of_another_size():
+    params = PretzelParams(9, 9)
+    c = full_complex(params)
+    complexes.add_box(c, (-1, -1), params.g - 1, "_extra")
+    with pytest.raises(ValueError, match="the layout has 53 generators, the complex 57"):
+        full_involution(params, c)
 
 
 def _summed_full_complex(params):
