@@ -18,7 +18,6 @@ from .complexes import (
     unknot_complex,
 )
 from .cone import build_cone, involutive_invariants
-from .homology import hfk_hat
 from .involution import (
     figure_eight_involution,
     identity_involution,
@@ -26,6 +25,7 @@ from .involution import (
 )
 from .pretzel import (
     PretzelParams,
+    block_hfk,
     full_complex,
     model_complex,
     model_involution_for,
@@ -175,7 +175,7 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_hfk(parser, args) -> int:
-    table = hfk_hat(full_complex(_params_or_exit(parser, args.m, args.n)))
+    table = block_hfk(_params_or_exit(parser, args.m, args.n))[0]
     if args.format == "json":
         data = [
             {"alexander": w, "maslov": k, "rank": r}

@@ -2,14 +2,14 @@
 
 For odd m >= n >= 3 the full complex is one negative staircase plus a
 number of acyclic boxes per diagonal, all of one diagonal at one corner
-and grading (box_blocks).  Box multiplicities come from the closed
-form; the deep checks of report_dict read the staircase and its box
-blocks (block_hfk) and tie them to the expected rank table.  The four
-model families differ in whether a box sits unpaired on the main
-diagonal and in the reflection behaviour of the staircase ends.  A
-model is defined by its staircase steps and, for C1, its box, so many
-pairs share one; model_triple reduces each model once per process, in
-both chiralities.
+and grading.  Box multiplicities come from the closed form, and one
+Layout per pair (box_layout) says where each box sits; the deep checks
+of report_dict read the staircase and the layout's blocks (block_hfk)
+and tie them to the expected rank table.  The four model families
+differ in whether a box sits unpaired on the main diagonal and in the
+reflection behaviour of the staircase ends.  A model is defined by its
+staircase steps and, for C1, its box, so many pairs share one;
+model_triple reduces each model once per process, in both chiralities.
 
 The full complex is the direct sum of a head, the model complex (the
 staircase and, for C1, the box its involution couples to it), and
@@ -17,8 +17,8 @@ translated copies of one box; its involution is the head's plus one
 square map per pair of boxes.  So each distinct piece is validated once
 per process (the staircase and _head per step tuple, _box, _pair), and
 _check_layout proves in one linear pass that a full complex and its
-involution are those pieces laid out; validate and validate_involution
-of the whole stay the reference in the tests.
+involution are those pieces laid out as the layout says; validate and
+validate_involution of the whole stay the reference in the tests.
 
 The steps depend on m + n alone, so the pure work that a report repeats
 for the same steps or pair is kept per process, as model_triple is: the
@@ -191,24 +191,47 @@ def _box_counts(g: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, c) for s, c in b.items() if c)
 
 
-def box_blocks(params: PretzelParams) -> list[tuple[tuple[int, int], int, int]]:
-    """The boxes of the full complex as blocks (corner, Maslov grading of
-    a, count), one per diagonal s >= 0 from the top, counts from
-    box_multiplicities.
+class Layout(NamedTuple):
+    """Where a complex with v steps a side puts its staircase and boxes.
 
-    A block at corner (ci, cj) off the main diagonal stands for count
-    boxes there and count mirrors at (cj, ci), all with the one grading.
+    The staircase sits at 0..2v, then four generators a box: first the
+    pairs of each diagonal s > 0 from the top, each box at (ci, cj) just
+    before its mirror at (cj, ci), then the main diagonal's boxes.
+    blocks holds one entry (corner, Maslov grading of a, count) per
+    diagonal s >= 0 from the top; off the main diagonal it stands for
+    count boxes at the corner and count mirrors at the transposed corner,
+    all with the one grading.  coupled is the offset of the C1 box, the
+    first main-diagonal box when that diagonal's count is odd (else
+    None); paired the offsets of the others, pair by pair; size the
+    generator count.  The full complex of a pair is this layout of its
+    box counts, the C1 model of {0: 1} and the other models of none.
+    """
+
+    v: int
+    blocks: tuple[tuple[tuple[int, int], int, int], ...]
+    coupled: int | None
+    paired: tuple[int, ...]
+    size: int
+
+
+def box_layout(v: int, boxes: dict[int, int]) -> Layout:
+    """The Layout of v steps a side and boxes[s] boxes on diagonal s.
+
     The published anchor is written here only: every box on diagonal s
     shares one corner, centred so the corner sum is -2 (s even) or -1
-    (s odd), and its a sits at Maslov ci + cj + g + 1.
+    (s odd), and its a sits at Maslov ci + cj + g + 1, g = v + 1.
     """
-    mults = box_multiplicities(params)
-    blocks = []
-    for s in sorted((s for s in mults if s >= 0), reverse=True):
+    blocks, paired, coupled, k = [], [], None, 2 * v + 1
+    for s in sorted((s for s, count in boxes.items() if s >= 0 and count), reverse=True):
         ci = -1 - s // 2
         cj = s + ci
-        blocks.append(((ci, cj), ci + cj + params.g + 1, mults[s]))
-    return blocks
+        blocks.append(((ci, cj), ci + cj + v + 2, boxes[s]))
+        n = 2 * boxes[s] if s else boxes[s]
+        if not s and n % 2:
+            coupled, k, n = k, k + 4, n - 1
+        paired += range(k, k + 4 * n, 4)
+        k += 4 * n
+    return Layout(v, tuple(blocks), coupled, tuple(paired), k)
 
 
 @functools.cache
@@ -219,11 +242,10 @@ def _box_table() -> MappingProxyType:
 
 
 @functools.cache
-def _staircase_table(steps: tuple[int, ...]) -> tuple[MappingProxyType, int]:
-    """(hfk_hat, generator count) of the validated staircase of these
-    steps, once per step tuple per process, the table read-only."""
-    staircase = _staircase_piece(steps).complex()
-    return MappingProxyType(hfk_hat(staircase)), len(staircase.gens)
+def _staircase_table(steps: tuple[int, ...]) -> MappingProxyType:
+    """hfk_hat of the validated staircase of these steps, once per step
+    tuple per process; read-only, since the memo keeps it."""
+    return MappingProxyType(hfk_hat(_staircase_piece(steps).complex()))
 
 
 def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
@@ -239,19 +261,18 @@ def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
     and moves its slice by (j - i, ma - 2i) in (alexander, maslov).  So
     the staircase is validated once per step tuple per process
     (_staircase_table), the one box once per process (_box_table), and
-    each block adds count shifted copies of that box's table, once at
-    its corner and, off the main diagonal, once at the mirror's, to a
-    Counter copied from the staircase's.
+    each block of the layout adds count shifted copies of that box's
+    table, at its corner and, off the main diagonal, at the mirror's, to
+    a Counter copied from the staircase's.  The count is the layout's.
     """
-    stair, count = _staircase_table(params.steps)
+    layout = box_layout(len(params.steps), box_multiplicities(params))
+    table = Counter(_staircase_table(params.steps))
     box = _box_table()
-    table = Counter(stair)
-    for (ci, cj), ma, copies in box_blocks(params):
+    for (ci, cj), ma, copies in layout.blocks:
         for i, j in {(ci, cj), (cj, ci)}:
             for (w, k), rank in box.items():
                 table[(w + j - i, k + ma - 2 * i)] += copies * rank
-            count += 4 * copies
-    return dict(table), count
+    return dict(table), layout.size
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +306,15 @@ def _staircase_piece(steps: tuple[int, ...]) -> _Piece:
 def _head(steps: tuple[int, ...], coupled: bool) -> _Piece:
     """The model of these steps and its involution, validated once per
     process: the staircase with the reflection and, when coupled
-    (family C1), the box at corner (-1, -1) with a at Maslov len(steps)
-    = u + 2 = g - 1, checked with the staircase as their sum, with the
-    C1 coupling laid over the reflection.  The involution goes through
-    involution_from_rules, so its index, coverage and law checks all
-    run."""
+    (family C1), the box of box_layout's {0: 1} block, checked with the
+    staircase as their sum, with the C1 coupling laid over the
+    reflection.  The involution goes through involution_from_rules, so
+    its index, coverage and law checks all run."""
     v = len(steps)
     c = _staircase_piece(steps).complex()
     if coupled:
-        add_box(c, (-1, -1), v)
+        corner, ma, _one = box_layout(v, {0: 1}).blocks[0]
+        add_box(c, corner, ma)
         require_valid(c, "direct sum")
     return _piece(c, layout_involution(c, v, {0: int(coupled)}).matrix)
 
@@ -325,17 +346,6 @@ def _pair() -> _Piece:
     return _piece(c, involution_from_rules(c, square_pair(0, 4)).matrix)
 
 
-def _box_offsets(v: int, boxes: dict[int, int]) -> tuple[int | None, list[int]]:
-    """Where full_complex's layout, with v steps a side and boxes[s]
-    boxes on diagonal s, puts its boxes: the offset of the C1 box (None
-    when the main diagonal's count is even) and the offsets of the
-    others, pair by pair."""
-    paired = 2 * sum(count for s, count in boxes.items() if s > 0)
-    offsets = list(range(2 * v + 1, 2 * v + 1 + 4 * (paired + boxes.get(0, 0)), 4))
-    coupled = offsets.pop(paired) if boxes.get(0, 0) % 2 else None
-    return coupled, offsets
-
-
 def _misplaced(
     m: SparseMap, entries: tuple[tuple[tuple[int, int], int], ...], offsets: list[int]
 ) -> int | None:
@@ -351,13 +361,12 @@ def _misplaced(
 def _check_layout(
     c: FilteredComplex,
     steps: tuple[int, ...],
-    boxes: dict[int, int],
+    layout: Layout,
     rules: SparseMap | None = None,
 ) -> None:
     """Prove in one linear pass that c, and the involution matrix rules
-    when given, are the validated pieces in full_complex's layout with
-    boxes[s] boxes on diagonal s; else raise ValueError naming the block
-    that is not.
+    when given, are the validated pieces of these steps laid out as
+    layout says; else raise ValueError naming the block that is not.
 
     The staircase and a C1 box must equal the head's; every other box
     the validated box translated, gradings and positions relative to its
@@ -369,11 +378,9 @@ def _check_layout(
     and translation keeps each law (_pair).  Each check reads whole
     columns of c, and only a failed one looks for the block to name.
     """
-    v = len(steps)
-    stair = 2 * v + 1
-    coupled, paired = _box_offsets(v, boxes)
+    stair = 2 * layout.v + 1
+    coupled, paired, size = layout.coupled, layout.paired, layout.size
     gens, diff = c.gens, c.diff
-    size = stair + 4 * (len(paired) + (coupled is not None))
     if len(gens) != size:
         raise ValueError("the layout has %d generators, the complex %d" % (size, len(gens)))
     head, box = _head(steps, coupled is not None), _box()
@@ -436,32 +443,22 @@ def model_complex(params: PretzelParams) -> FilteredComplex:
 
 
 def full_complex(params: PretzelParams) -> FilteredComplex:
-    """The staircase plus the boxes of box_blocks, appended in place and
-    checked by blocks.
-
-    The layout, which layout_involution reads: the staircase at 0..2v,
-    then four generators a box, first the pairs of each diagonal s > 0
-    from the top, each box at (ci, cj) just before its mirror at
-    (cj, ci), then the main diagonal's boxes, a C1 complex's unpaired
-    box first.  Labels, read only for printing, suffix the t-th box of
-    a diagonal with _p{s}_{t}, _m{s}_{t} or _d{t}.
-
-    The complex is the direct sum of the head (the staircase and, for
-    C1, its first main-diagonal box) and the other boxes.  A direct sum
-    is valid when each summand is, and a box moved in the plane and in
-    grading keeps every law, so the head and one box are validated once
-    per process and _check_layout proves that the complex is those
-    pieces laid out, with no arrow between two blocks.
-    """
-    c = _full_layout(params)
-    _check_layout(c, params.steps, box_multiplicities(params))
+    """The staircase plus the boxes of the pair, appended in place as
+    box_layout lays them out, and checked by blocks against the head (the
+    staircase and, for C1, the coupled box) and the box, each validated
+    once per process (_check_layout)."""
+    layout = box_layout(len(params.steps), box_multiplicities(params))
+    c = _full_layout(params, layout)
+    _check_layout(c, params.steps, layout)
     return c
 
 
-def _full_layout(params: PretzelParams) -> FilteredComplex:
-    """full_complex before _check_layout, its generator count checked."""
+def _full_layout(params: PretzelParams, layout: Layout) -> FilteredComplex:
+    """full_complex before _check_layout, its generator count checked.
+    Labels, read only for printing, suffix the t-th box of a diagonal
+    with _p{s}_{t}, _m{s}_{t} or _d{t}."""
     c = _staircase_piece(params.steps).complex()
-    for (ci, cj), ma, count in box_blocks(params):
+    for (ci, cj), ma, count in layout.blocks:
         s = cj - ci
         for t in range(1, count + 1):
             if s == 0:
@@ -471,20 +468,16 @@ def _full_layout(params: PretzelParams) -> FilteredComplex:
                 add_box(c, (cj, ci), ma, "_m%d_%d" % (s, t))
     want = 4 + (params.m - 2) * (params.n - 2)
     if len(c.gens) != want:
-        raise ValueError(
-            "full complex has %d generators, expected %d" % (len(c.gens), want)
-        )
+        raise ValueError("full complex has %d generators, expected %d" % (len(c.gens), want))
     return c
 
 
 def layout_involution(c: FilteredComplex, v: int, boxes: dict[int, int]) -> Involution:
-    """The involution of a complex in full_complex's layout, with v steps a
-    side and boxes[s] boxes on diagonal s, validated whole: the
-    reflection on the staircase, the C1 coupling on the first
-    main-diagonal box when that diagonal's count is odd, and square maps
-    on the other boxes, pair by pair.  The model complexes are this
-    layout with boxes {0: 1} (C1) or none."""
-    return involution_from_rules(c, staircase_with_boxes(v, *_box_offsets(v, boxes)))
+    """The involution of a complex laid out as box_layout(v, boxes) says,
+    validated whole: the reflection on the staircase, the C1 coupling on
+    the coupled box and square maps on the other boxes, pair by pair."""
+    layout = box_layout(v, boxes)
+    return involution_from_rules(c, staircase_with_boxes(v, layout.coupled, layout.paired))
 
 
 def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involution:
@@ -494,18 +487,20 @@ def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involutio
 
 def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     """layout_involution's matrix on c, for the boxes of the pair, checked
-    by blocks with c.
-
-    The matrix is block-diagonal: the head's involution, and square_pair
-    on each pair of boxes.  A law of validate_involution holds on a
-    block-diagonal map of a direct sum when it holds on each block, and
-    each pair is the validated pair of _pair moved as its docstring
-    says, so the head and the pair are validated once per process and
-    _check_layout proves that c and the matrix are laid out from them.
-    """
+    by blocks with c against the head's involution and the square pair,
+    each validated once per process (_check_layout): a law of
+    validate_involution holds on a block-diagonal map of a direct sum
+    when it holds on each block."""
     spec = classify(params)
-    rules = staircase_with_boxes(spec.v, *_box_offsets(spec.v, spec.boxes))
-    _check_layout(c, params.steps, spec.boxes, rules)
+    return _checked_involution(c, params.steps, box_layout(spec.v, spec.boxes))
+
+
+def _checked_involution(
+    c: FilteredComplex, steps: tuple[int, ...], layout: Layout
+) -> Involution:
+    """full_involution's matrix and check, on a layout already built."""
+    rules = staircase_with_boxes(layout.v, layout.coupled, layout.paired)
+    _check_layout(c, steps, layout, rules)
     return Involution(c, rules)
 
 
@@ -590,12 +585,13 @@ def compute_invariants(
 
     The model path classifies the pair on every call, which checks n(K)
     and the box parity, and takes the triple of its chirality from
-    model_triple.  The full path checks the full complex and its
-    involution together, in full_involution's one pass."""
+    model_triple.  The full path lays out the full complex and its
+    involution from one layout and checks them together, in one pass."""
     spec = classify(params)
     if use_full:
-        c = _full_layout(params)
-        c, iota = _chirality(c, full_involution(params, c), mirrored)
+        layout = box_layout(spec.v, spec.boxes)
+        c = _full_layout(params, layout)
+        c, iota = _chirality(c, _checked_involution(c, params.steps, layout), mirrored)
         triple = involutive_invariants(c, iota)
     else:
         triple = model_triple(params.steps, bool(spec.main_diag_boxes))[mirrored]

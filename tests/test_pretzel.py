@@ -437,6 +437,12 @@ _MEMOS = (
 )
 
 
+def test_every_memo_is_cleared():
+    # a memo of cfku.pretzel missing from _MEMOS would survive _clear_memos
+    memos = {value for value in vars(pretzel).values() if hasattr(value, "cache_clear")}
+    assert memos == set(_MEMOS)
+
+
 def test_memos_hand_out_fresh_values():
     params = PretzelParams(9, 7)
     mults = box_multiplicities(params)
@@ -533,11 +539,14 @@ def test_block_path_equals_the_whole_complex():
 
 def test_block_moved_off_its_diagonal_fails_both_paths_alike(monkeypatch):
     params = PretzelParams(9, 9)
-    real = pretzel.box_blocks(params)
-    assert real[0] == ((-3, 1), 8, 1)  # diagonal 4, with its mirror on -4
+    real = pretzel.box_layout(8, box_multiplicities(params))
+    assert real.blocks[0] == ((-3, 1), 8, 1)  # diagonal 4, with its mirror on -4
     # to diagonal 5 and -5, where no other box sits, so labels stay unique
-    moved = [((-3, 2), 8, 1)] + real[1:]
-    monkeypatch.setattr(pretzel, "box_blocks", lambda p: list(moved))
+    moved = real._replace(blocks=(((-3, 2), 8, 1),) + real.blocks[1:])
+    layout = pretzel.box_layout
+    monkeypatch.setattr(
+        pretzel, "box_layout", lambda v, b: moved if layout(v, b) == real else layout(v, b)
+    )
     rep = report_dict(9, 9, False, deep=True)
     checks, diagnostics = _whole_complex_checks(params)
     assert checks["hfk_match"] is False and checks["count_match"] is True
@@ -563,24 +572,66 @@ def test_block_checks_accept_what_the_whole_validators_accept():
         assert validate_involution(dual_involution(iota, d)) == [], (m, n)
 
 
-def _broken_full(change):
-    """The C1 pair (9, 9), whose layout is the staircase at 0..16, the
-    pairs (17, 21), (25, 29) and (33, 37), the C1 box at 41 and the
-    main-diagonal pair (45, 49), with change applied to its complex and
-    involution matrix."""
-    params = PretzelParams(9, 9)
-    assert pretzel._box_offsets(8, classify(params).boxes) == (
-        41, [17, 21, 25, 29, 33, 37, 45, 49]
-    )
+_OFFSETS = {  # (coupled, paired) of the layouts the broken inputs start from
+    (9, 9): (41, (17, 21, 25, 29, 33, 37, 45, 49)),
+    (11, 7): (None, (17, 21, 25, 29, 33, 37, 41, 45)),
+}
+
+
+def _broken_full(params, change):
+    """The full complex of params and its involution matrix, with change
+    applied.  Both pairs have 8 steps a side, so the staircase sits at
+    0..16 and the pairs (17, 21), (25, 29) and (33, 37) follow; then the
+    C1 pair (9, 9) has its C1 box at 41 and the main-diagonal pair
+    (45, 49), the C3 pair (11, 7) only the main-diagonal pair (41, 45)."""
+    layout = pretzel.box_layout(8, classify(params).boxes)
+    assert (layout.coupled, layout.paired) == _OFFSETS[params.m, params.n]
     c = full_complex(params)
     rules = dict(full_involution(params, c).matrix)
     change(c, rules)
-    return c, params, rules
+    return c, rules
 
 
 def _shift(c, k, dm=0, di=0, dj=0):
     g = c.gens[k]
     c.gens[k] = g._replace(maslov=g.maslov + dm, i=g.i + di, j=g.j + dj)
+
+
+def _c3(layout_of=(11, 7)):
+    """Make a change of test_block_checks_name_the_broken_block to the C3
+    pair (11, 7), checked against the layout of the pair layout_of."""
+
+    def mark(change):
+        change.pair, change.layout_of = (11, 7), layout_of
+        return change
+
+    return mark
+
+
+@_c3()
+def _c3_pair_entry_dropped(c, f):  # a1 -> a2 of the main-diagonal pair
+    f.pop((45, 41))
+
+
+@_c3()
+def _c3_staircase_generator_shifted(c, f):
+    _shift(c, 3, dm=2)
+
+
+@_c3()
+def _c3_main_diagonal_mirror_regraded(c, f):
+    for k in range(45, 49):
+        _shift(c, k, dm=2)
+
+
+@_c3()
+def _c3_coupling_entry_added(c, f):  # a -> z0 of a C1 coupling on the box at 41
+    f[(0, 41)] = 0
+
+
+@_c3(layout_of=(9, 9))
+def _c3_checked_against_a_c1_layout(c, f):
+    pass
 
 
 _HEAD_D = "the differential of the head is not the validated head's"
@@ -619,12 +670,24 @@ _HEAD_IOTA = "iota on the head is not the validated reflection and C1 coupling"
             lambda c, f: c.gens.__setitem__(18, c.gens[18]._replace(label="a_d1")),
             "duplicate generator labels",
         ),
+        (_c3_pair_entry_dropped, "iota on the pair at 41, 45 is not square_pair's"),
+        (_c3_staircase_generator_shifted, "the staircase is not the validated head's"),
+        (
+            _c3_main_diagonal_mirror_regraded,
+            "the mirror at 45 of the box at 41 has another grading",
+        ),
+        (_c3_coupling_entry_added, "iota has 1 entries outside the blocks"),
+        (_c3_checked_against_a_c1_layout, "the layout has 53 generators, the complex 49"),
     ],
 )
 def test_block_checks_name_the_broken_block(change, message):
-    c, params, rules = _broken_full(change)
+    pair = getattr(change, "pair", (9, 9))
+    params = PretzelParams(*pair)
+    c, rules = _broken_full(params, change)
+    layout_of = PretzelParams(*getattr(change, "layout_of", pair))
+    layout = pretzel.box_layout(8, classify(layout_of).boxes)
     with pytest.raises(ValueError, match=message):
-        pretzel._check_layout(c, params.steps, classify(params).boxes, rules)
+        pretzel._check_layout(c, params.steps, layout, rules)
     whole = full_complex(params)
     if (c.gens, c.diff) != (whole.gens, whole.diff):
         with pytest.raises(ValueError, match=message):  # full_involution checks c too
@@ -659,12 +722,25 @@ def _summed_full_complex(params):
 
 
 def test_full_complex_assembled_in_place_equals_the_direct_sum():
-    # and the C1 model complex: its staircase, then the box at (-1, -1)
+    # and the C1 model complex: its staircase, then the box at (-1, -1);
+    # the full complex's layout names its boxes' a generators and blocks
     cases = []
     for m in range(3, 22, 2):
         for n in range(3, m + 1, 2):
             params = PretzelParams(m, n)
-            cases.append((params, full_complex(params), _summed_full_complex(params)))
+            c, ref = full_complex(params), _summed_full_complex(params)
+            cases.append((params, c, ref))
+            layout = pretzel.box_layout(len(params.steps), box_multiplicities(params))
+            labels = [g.label for g in c.gens]
+            d1 = labels.index("a_d1") if box_multiplicities(params).get(0, 0) % 2 else None
+            a = tuple(k for k, label in enumerate(labels) if label.startswith("a_") and k != d1)
+            assert (layout.coupled, layout.paired) == (d1, a), (m, n)
+            assert layout.size == 4 + (m - 2) * (n - 2), (m, n)
+            blocks = Counter()  # (corner, grading of a) -> boxes, from the top
+            for g in ref.gens:
+                if g.label.startswith(("a_p", "a_d")):
+                    blocks[(g.i - 1, g.j - 1), g.maslov] += 1
+            assert layout.blocks == tuple((at, ma, k) for (at, ma), k in blocks.items()), (m, n)
             if classify(params).family == "C1":
                 box = build_box((-1, -1), a_maslov=params.g - 1)
                 ref = direct_sum([_staircase("negative", params.steps), box])
