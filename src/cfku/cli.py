@@ -217,26 +217,18 @@ def cmd_show(parser, args) -> int:
         sq = subquotient(c)
         if args.format == "json":
             _emit(render.to_json_text(render.subquotient_to_json(sq)), args.out)
-        else:
-            lines = ["%-12s %7s" % ("label", "maslov")]
-            for lab, mm in zip(sq.labels(), sq.maslov):
-                lines.append("%-12s %7d" % (lab, mm))
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    cone = build_cone(c, iota)
-    if args.format == "json":
-        data = {
-            "generators": [
-                {"label": lab, "maslov": mm}
-                for lab, mm in zip(cone.labels, cone.maslov)
-            ]
-        }
-        _emit(render.to_json_text(data), args.out)
+            return 0
+        labels, maslov, width = sq.labels(), sq.maslov, 12
     else:
-        lines = ["%-16s %7s" % ("label", "maslov")]
-        for lab, mm in zip(cone.labels, cone.maslov):
-            lines.append("%-16s %7d" % (lab, mm))
-        _emit("\n".join(lines) + "\n", args.out)
+        cone = build_cone(c, iota)
+        labels, maslov, width = cone.labels, cone.maslov, 16
+        if args.format == "json":
+            data = [{"label": lab, "maslov": mm} for lab, mm in zip(labels, maslov)]
+            _emit(render.to_json_text({"generators": data}), args.out)
+            return 0
+    lines = ["%-*s %7s" % (width, "label", "maslov")]
+    lines += ["%-*s %7d" % (width, lab, mm) for lab, mm in zip(labels, maslov)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -268,10 +260,11 @@ def cmd_examples(parser, args) -> int:
     triple = involutive_invariants(c, iota)
     lines = [render.generator_table(c).rstrip("\n")]
     images: dict[int, list[str]] = {}
+    labels = c.labels()
     for (t, s), a in sorted(iota.matrix.items()):
-        images.setdefault(s, []).append(("U^%d " % a if a else "") + c.gens[t].label)
+        images.setdefault(s, []).append(("U^%d " % a if a else "") + labels[t])
     for s in sorted(images):
-        lines.append("iota(%s) = %s" % (c.gens[s].label, " + ".join(images[s])))
+        lines.append("iota(%s) = %s" % (labels[s], " + ".join(images[s])))
     lines.append("V0 = %d, lower V0 = %d, upper V0 = %d" % triple)
     _emit("\n".join(lines) + "\n", args.out)
     return 0

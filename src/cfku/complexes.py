@@ -1,10 +1,11 @@
-"""(Z + Z)-filtered, Z-graded chain complexes over F2[U, U^-1].
+"""(Z + Z)-filtered, Z-graded chain complexes over F2[U, U^-1], as columns.
 
-A complex is a finite list of generators, each anchored at the plane
-position (i, j) of its U^0 representative, together with a sparse
-differential whose entries are powers of U.  The U-action translates a
-generator down the diagonal, so a finite basis presents the whole
-infinitely generated complex.
+A complex is a finite basis held as three int columns, the Maslov
+grading and the plane position (i, j) of each generator's U^0
+representative, and a sparse differential whose entries are powers of
+U.  The U-action translates a generator down the diagonal, so a finite
+basis presents the whole infinitely generated complex.  Names are kept
+apart from the columns and formatted only where they are read.
 
 Every sparse map (a differential, Phi, Psi, the Sarkar map, an
 involution's matrix, the A0- differential) stores an entry as the
@@ -31,25 +32,19 @@ Conventions used throughout:
     (its transpose); step r joins z_{r-1} to z_r and the constructor
     takes the step lengths of the top half listed from z_v inward.
   * Generators are laid out by index, and every builder and check
-    works on indices: z0 at 0, z_r^side at 2r - 2 + side, and a box
-    appended at k has a, b, c, ue at k..k+3.  Labels serve printing
-    (and naming generators in JSON and messages) only.
+    works on indices and columns: z0 at 0, z_r^side at 2r - 2 + side,
+    and a box appended at k has a, b, c, ue at k..k+3.
   * Maslov gradings of staircases are normalized so the tower of
     H(B0-) = H(C{i<=0}) sits in grading 0.
 
 Complexes are validated once, where they are built or read: through
 require_valid in build_staircase and direct_sum here, in
 render.complex_from_json, and in pretzel on its pieces, each once per
-process: the staircase of each step tuple (build_staircase), the C1
-model complex of each (its staircase plus a box appended in place by
-add_box, checked as their sum), the box and the square pair.  A C2-C4
-model complex is its staircase.  A full complex is never validated
-whole: pretzel._check_layout proves in one linear pass that it is the
-validated staircase, C1 box and box laid out, with no arrow between
-two blocks, which is what validate would find.
-dualize takes a valid complex and returns its mirror unchecked, since
-the grading law, the filtration law and d^2 = 0 all transpose.
-subquotient and everything downstream take their input as valid;
+process.  A full complex is never validated whole: pretzel._check_layout
+proves in one linear pass over its columns that it is those pieces laid
+out.  dualize returns the mirror of a valid complex unchecked, since the
+grading law, the filtration law and d^2 = 0 all transpose.  subquotient
+and everything downstream take their input as valid;
 homology.sparse_homology still checks d^2 = 0 on every differential it
 is given, on F2 supports through d_squared_support, as validate does.
 """
@@ -57,11 +52,13 @@ is given, on F2 supports through d_squared_support, as validate does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, TypeVar
+from operator import neg
+from typing import Callable, NamedTuple, TypeVar
 
 # (target index, source index) -> a, for the entry U^a
 SparseMap = dict[tuple[int, int], int]
 Key = TypeVar("Key")
+BOX_NAMES = ("a", "b", "c", "ue")
 
 
 class Generator(NamedTuple):
@@ -71,16 +68,42 @@ class Generator(NamedTuple):
     j: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FilteredComplex:
-    gens: list[Generator]
-    # diff[(t, s)] = a: the boundary of gens[s] contains U^a gens[t]
+    """Generator k sits at (i[k], j[k]) in grading maslov[k], and
+    diff[(t, s)] = a means the boundary of generator s holds U^a
+    generator t.  names is the list of names, or, from a builder that
+    knows them in closed form, a function that formats it where names are
+    read (labels).  Complexes with equal names, columns and diff are equal.
+    """
+
+    names: list[str] | Callable[[], list[str]]
+    maslov: list[int]
+    i: list[int]
+    j: list[int]
     diff: SparseMap = field(default_factory=dict)
 
+    def labels(self) -> list[str]:
+        return self.names() if callable(self.names) else self.names
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, FilteredComplex) and self.diff == other.diff
+        return same and self.gens == other.gens
+
+    @property
+    def gens(self) -> list[Generator]:
+        """A fresh list of the generators, for printers and tests: changing
+        it does not change the complex."""
+        return list(map(Generator, self.labels(), self.maslov, self.i, self.j))
+
     def indices(self) -> dict[str, int]:
-        """label -> index, for many lookups.  Built on each call, since
-        relabel changes gens in place."""
-        return {g.label: k for k, g in enumerate(self.gens)}
+        """label -> index, for many lookups."""
+        return {label: k for k, label in enumerate(self.labels())}
+
+
+def from_gens(gens: list[Generator], diff: SparseMap | None = None) -> FilteredComplex:
+    """The complex on a list of Generators, taken apart into columns."""
+    return FilteredComplex(*([g[f] for g in gens] for f in range(4)), diff or {})
 
 
 @dataclass
@@ -99,15 +122,8 @@ class SubquotientComplex:
     diff: SparseMap
 
     def labels(self) -> list[str]:
-        out = []
-        for g, k0 in self.basis:
-            label = self.parent.gens[g].label
-            if k0 > 0:
-                label = "U^%d %s" % (k0, label) if k0 > 1 else "U %s" % label
-            elif k0 < 0:
-                label = "U^%d %s" % (k0, label)
-            out.append(label)
-        return out
+        names, prefix = self.parent.labels(), {0: "", 1: "U "}
+        return [prefix.get(k0, "U^%d " % k0) + names[g] for g, k0 in self.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +145,25 @@ def add_term(m: dict[Key, int], key: Key, a: int) -> None:
 
 
 def add_shifted(m: dict[Key, int], col: dict[Key, int], shift: int) -> None:
-    """Add U^shift col to m over F2, entry by entry as add_term does."""
+    """Add U^shift col to m over F2, entry by entry through add_term."""
     for key, e in col.items():
-        a = e + shift
-        b = m.pop(key, None)
-        if b is None:
-            m[key] = a
-        elif b != a:
-            raise ValueError(_NOT_GRADED % (key, b, a))
+        add_term(m, key, e + shift)
+
+
+def by_source(m: SparseMap) -> dict[int, list[tuple[int, int]]]:
+    """The columns of m: source s -> [(target, exponent), ...]."""
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for (t, s), e in m.items():
+        cols.setdefault(s, []).append((t, e))
+    return cols
 
 
 def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
     """Sparse product a after b of graded maps, summed as add_term does."""
-    by_source: dict[int, list[tuple[int, int]]] = {}
-    for (t, s), e in a.items():
-        by_source.setdefault(s, []).append((t, e))
+    cols = by_source(a)
     out: SparseMap = {}
     for (mid, s), e in b.items():
-        for t, e2 in by_source.get(mid, ()):
+        for t, e2 in cols.get(mid, ()):
             key = (t, s)
             x = e2 + e
             y = out.pop(key, None)
@@ -160,20 +177,15 @@ def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
 def validate(c: FilteredComplex) -> list[str]:
     """All violated structural invariants; empty list means ok."""
     problems = []
-    gens = c.gens
-    labels = [label for label, _m, _i, _j in gens]
+    labels, maslov, ci, cj = c.labels(), c.maslov, c.i, c.j
     if len(set(labels)) != len(labels):
         problems.append("duplicate generator labels")
     for (t, s), a in c.diff.items():
-        s_label, s_maslov, si, sj = gens[s]
-        t_label, t_maslov, ti, tj = gens[t]
-        if t_maslov - 2 * a != s_maslov - 1:
+        if maslov[t] - 2 * a != maslov[s] - 1:
+            problems.append("grading law broken on U^%d %s in d(%s)" % (a, labels[t], labels[s]))
+        if not (ci[t] - a <= ci[s] and cj[t] - a <= cj[s]):
             problems.append(
-                "grading law broken on U^%d %s in d(%s)" % (a, t_label, s_label)
-            )
-        if not (ti - a <= si and tj - a <= sj):
-            problems.append(
-                "filtration law broken on U^%d %s in d(%s)" % (a, t_label, s_label)
+                "filtration law broken on U^%d %s in d(%s)" % (a, labels[t], labels[s])
             )
     if problems:
         return problems
@@ -244,8 +256,8 @@ def _staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
     # z_r is a source exactly when r has the parity of v on a negative
     # staircase, and the other parity on a positive one
     source = [(r % 2 == v % 2) == negative for r in range(v + 1)]
-    gens = [Generator("z0", top if source[0] else top - 1, 0, 0)]
-    diff: SparseMap = {(1, 0): 0, (2, 0): 0} if source[0] else {}
+    c = FilteredComplex(staircase_names(v), [top if source[0] else top - 1], [0], [0])
+    diff = c.diff = {(1, 0): 0, (2, 0): 0} if source[0] else {}
     i = j = 0
     for r in range(1, v + 1):
         # walk the upper-left path, where step r is vertical exactly when
@@ -254,15 +266,19 @@ def _staircase(sign: str, step_lengths: tuple[int, ...]) -> FilteredComplex:
             j += step_lengths[v - r]
         else:
             i -= step_lengths[v - r]
-        m = top if source[r] else top - 1
-        gens.append(Generator("z%d_1" % r, m, i, j))
-        gens.append(Generator("z%d_2" % r, m, j, i))
+        c.maslov += (top if source[r] else top - 1,) * 2
+        c.i += (i, j)
+        c.j += (j, i)
         if source[r]:
             for s in (2 * r - 1, 2 * r):
                 diff[(s - 2 if r > 1 else 0, s)] = 0
                 if r < v:
                     diff[(s + 2, s)] = 0
-    return FilteredComplex(gens, diff)
+    return c
+
+
+def staircase_names(v: int) -> list[str]:
+    return ["z0"] + ["z%d_%d" % (r, side) for r in range(1, v + 1) for side in (1, 2)]
 
 
 def staircase_n_of_k(step_lengths: tuple[int, ...]) -> int:
@@ -287,13 +303,11 @@ def add_box(
     """
     i, j = diagonal_corner
     ma = i + j + 2 if a_maslov is None else a_maslov
-    k = len(c.gens)
-    c.gens += (
-        Generator("a" + suffix, ma, i + 1, j + 1),
-        Generator("b" + suffix, ma - 1, i, j + 1),
-        Generator("c" + suffix, ma - 1, i + 1, j),
-        Generator("ue" + suffix, ma - 2, i, j),
-    )
+    k = len(c.maslov)
+    c.names = c.labels() + [name + suffix for name in BOX_NAMES]
+    c.maslov += (ma, ma - 1, ma - 1, ma - 2)
+    c.i += (i + 1, i, i + 1, i)
+    c.j += (j + 1, j + 1, j, j)
     c.diff.update({(k + 1, k): 0, (k + 2, k): 0, (k + 3, k + 1): 0, (k + 3, k + 2): 0})
 
 
@@ -301,7 +315,7 @@ def build_box(
     diagonal_corner: tuple[int, int], a_maslov: int | None = None, suffix: str = ""
 ) -> FilteredComplex:
     """The box of add_box on its own, unchecked."""
-    c = FilteredComplex([])
+    c = FilteredComplex([], [], [], [])
     add_box(c, diagonal_corner, a_maslov, suffix)
     return c
 
@@ -322,25 +336,22 @@ def build_lspace_staircase(ws: tuple[int, ...]) -> tuple[FilteredComplex, int]:
 
 
 def dualize(c: FilteredComplex) -> FilteredComplex:
-    """Mirror complex: gradings and positions negate, arrows transpose.
-
-    Generator order and labels are kept; c is taken as valid."""
-    gens = [Generator(label, -maslov, -i, -j) for label, maslov, i, j in c.gens]
-    diff = {(s, t): a for (t, s), a in c.diff.items()}
-    return FilteredComplex(gens, diff)
+    """Mirror complex: the three columns negate and the keys of diff
+    transpose.  Generator order and names are kept; c is taken as valid."""
+    columns = (list(map(neg, col)) for col in (c.maslov, c.i, c.j))
+    return FilteredComplex(c.names, *columns, {(s, t): a for (t, s), a in c.diff.items()})
 
 
 def direct_sum(cs: list[FilteredComplex]) -> FilteredComplex:
     """The summed complex, validated; summands may be unchecked boxes."""
-    gens = []
-    diff = {}
-    offset = 0
+    out = FilteredComplex([], [], [], [])
     for c in cs:
-        gens.extend(c.gens)
-        for (t, s), a in c.diff.items():
-            diff[(t + offset, s + offset)] = a
-        offset += len(c.gens)
-    return require_valid(FilteredComplex(gens, diff), "direct sum")
+        k = len(out.maslov)
+        out.diff.update({(t + k, s + k): a for (t, s), a in c.diff.items()})
+        parts = (c.labels(), c.maslov, c.i, c.j)
+        for col, part in zip((out.names, out.maslov, out.i, out.j), parts):
+            col += part
+    return require_valid(out, "direct sum")
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +363,11 @@ def subquotient(c: FilteredComplex) -> SubquotientComplex:
 
     Its basis is every generator x of c, in order, as U^k0 x with
     k0 = max(i, j), the minimal translate inside the quadrant; k0 may be
-    negative.  The differential is c's, carried over by restrict_to_a0.
+    negative.  Both read the columns of c, and the differential is c's,
+    carried over by restrict_to_a0.
     """
-    basis = [(k, max(i, j)) for k, (_label, _m, i, j) in enumerate(c.gens)]
-    maslov = [g.maslov - 2 * k0 for g, (_k, k0) in zip(c.gens, basis)]
-    a0 = SubquotientComplex(c, basis, maslov, {})
+    k0 = list(map(max, c.i, c.j))
+    a0 = SubquotientComplex(c, list(enumerate(k0)), [m - 2 * k for m, k in zip(c.maslov, k0)], {})
     a0.diff = restrict_to_a0(a0, c.diff, "differential")
     return a0
 
@@ -370,14 +381,14 @@ def restrict_to_a0(a0: SubquotientComplex, m: SparseMap, what: str) -> SparseMap
     negative power means m is neither and raises ValueError naming what
     m is and both generators.
     """
-    basis, gens = a0.basis, a0.parent.gens
+    basis = a0.basis
     out: SparseMap = {}
     for (t, s), a in m.items():
         e = basis[s][1] + a - basis[t][1]
         if e < 0:
+            names = a0.parent.labels()
             raise ValueError(
-                "%s does not restrict to A0-: U^%d from %s to %s"
-                % (what, e, gens[s].label, gens[t].label)
+                "%s does not restrict to A0-: U^%d from %s to %s" % (what, e, names[s], names[t])
             )
         out[(t, s)] = e
     return out
@@ -391,15 +402,13 @@ def phi_psi(c: FilteredComplex) -> tuple[SparseMap, SparseMap]:
     """Phi keeps the arrows of odd i-drop, Psi those of odd j-drop.
 
     Both are filtered chain maps of Maslov shift -1."""
-    gens = c.gens
+    ci, cj = c.i, c.j
     phi: SparseMap = {}
     psi: SparseMap = {}
     for (t, s), a in c.diff.items():
-        _ls, _ms, si, sj = gens[s]
-        _lt, _mt, ti, tj = gens[t]
-        if (si - ti + a) % 2:
+        if (ci[s] - ci[t] + a) % 2:
             phi[(t, s)] = a
-        if (sj - tj + a) % 2:
+        if (cj[s] - cj[t] + a) % 2:
             psi[(t, s)] = a
     return phi, psi
 
@@ -407,7 +416,7 @@ def phi_psi(c: FilteredComplex) -> tuple[SparseMap, SparseMap]:
 def sarkar(c: FilteredComplex) -> SparseMap:
     """The map Id + U^-1 Phi Psi; a filtered chain map of shift 0."""
     phi, psi = phi_psi(c)
-    matrix = {(k, k): 0 for k in range(len(c.gens))}
+    matrix = {(k, k): 0 for k in range(len(c.maslov))}
     add_shifted(matrix, _compose(phi, psi), -1)
     return matrix
 
@@ -417,7 +426,7 @@ def sarkar(c: FilteredComplex) -> SparseMap:
 
 
 def unknot_complex() -> FilteredComplex:
-    return FilteredComplex([Generator("u", 0, 0, 0)], {})
+    return FilteredComplex(["u"], [0], [0], [0])
 
 
 def right_trefoil_complex() -> FilteredComplex:
@@ -437,11 +446,9 @@ def left_trefoil_complex() -> FilteredComplex:
 def figure_eight_complex() -> FilteredComplex:
     """One box at corner (-1,-1) plus a lone generator x at the origin."""
     box = build_box((-1, -1), a_maslov=0)
-    x = FilteredComplex([Generator("x", 0, 0, 0)], {})
+    x = FilteredComplex(["x"], [0], [0], [0])
     return direct_sum([box, x])
 
 
 def relabel(c: FilteredComplex, mapping: dict[str, str]) -> None:
-    for k, g in enumerate(c.gens):
-        if g.label in mapping:
-            c.gens[k] = Generator(mapping[g.label], g.maslov, g.i, g.j)
+    c.names = [mapping.get(label, label) for label in c.labels()]

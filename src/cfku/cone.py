@@ -30,12 +30,11 @@ and takes its homology, d^2 check included, once, on the first call to
 cone_homology, and the coordinates once, on the first reading.  The
 Q-coordinates are those of Q applied to each homology representative, a
 sparse vector {index: exponent} like the representative, one bitmask
-polynomial per summand.  involutive_vs
-reads the tower that the image of Q saturates directly off the
-Q-coordinates on the two towers, with no Smith normal form.
-brute_force_vs enumerates homogeneous classes grading by grading and
-applies the definitions literally; it is the oracle the fast path is
-tested against.
+polynomial per summand.  involutive_vs reads the tower that the image of
+Q saturates directly off the Q-coordinates on the two towers, with no
+Smith normal form.  brute_force_vs enumerates homogeneous classes
+grading by grading and applies the definitions literally; it is the
+oracle the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .complexes import (
     SubquotientComplex,
     _compose,
     add_term,
+    by_source,
     restrict_to_a0,
     subquotient,
 )
@@ -104,14 +104,21 @@ class ConeComplex:
 
     diff and q are exponent maps, one int a per entry meaning U^a, on
     the 2n generators.  q is the Q-action, the index shift x_i -> Qx_i:
-    {(n + i, i): 0}.  The fields are frozen so that the homology, taken
-    once, cannot go stale.
+    {(n + i, i): 0}.  a0 is the complex whose cone this is, which labels
+    reads; a cone given directly has none.  The fields are frozen so that
+    the homology, taken once, cannot go stale.
     """
 
-    labels: list[str]
     maslov: list[int]
     diff: SparseMap
     q: SparseMap
+    a0: SubquotientComplex | None = None
+
+    @cached_property
+    def labels(self) -> list[str]:
+        """The names of the x_k, then of the Qx_k, formatted when first read."""
+        labels = self.a0.labels()
+        return labels + ["Q " + lab for lab in labels]
 
     @cached_property
     def homology(self) -> GradedModule:
@@ -130,7 +137,8 @@ class ConeComplex:
         """
         h = self.homology
         reps = [rep for _, rep in h.free] + [rep for _, _, rep in h.torsion]
-        coords = [h.class_coords(_apply(self.q, rep)) for rep in reps]
+        q = by_source(self.q)
+        coords = [h.class_coords(_apply(q, rep)) for rep in reps]
         return [fc for fc, _tc in coords], [tc for _fc, tc in coords]
 
 
@@ -141,8 +149,6 @@ def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
     over F2, so a unit diagonal entry of f cancels its identity arrow.
     """
     n = len(a0.basis)
-    labels = a0.labels()
-    labels = labels + ["Q " + lab for lab in labels]
     maslov = [m + 1 for m in a0.maslov] + list(a0.maslov)
     diff: SparseMap = {}
     for (t, s), e in a0.diff.items():
@@ -151,7 +157,7 @@ def _assemble_cone(a0: SubquotientComplex, f: SparseMap) -> ConeComplex:
     diff.update(q)  # Q(1 + f): its identity part is q itself
     for (t, s), e in f.items():
         add_term(diff, (n + t, s), e)
-    return ConeComplex(labels, maslov, diff, q)
+    return ConeComplex(maslov, diff, q, a0)
 
 
 def build_cone(c: FilteredComplex, iota: Involution) -> ConeComplex:
@@ -304,6 +310,6 @@ def involutive_invariants(c: FilteredComplex, iota: Involution) -> tuple[int, in
     cone = _assemble_cone(a0, f)
     log.debug(
         "A0-: %d generators, %d after cancellation; cone: %d generators",
-        len(c.gens), len(a0.basis), len(cone.labels),
+        len(c.maslov), len(a0.basis), len(cone.maslov),
     )
     return (v0_from_homology(sparse_homology(a0.diff, a0.maslov)), *involutive_vs(cone))

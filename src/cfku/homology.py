@@ -45,6 +45,7 @@ from .complexes import (
     FilteredComplex,
     SparseMap,
     add_term,
+    by_source,
     d_squared_support,
     subquotient,
 )
@@ -168,15 +169,14 @@ def eliminate(
     return keep, reduced, i_map, p_map, torsion
 
 
-def _apply(m: SparseMap, v: dict[int, int]) -> dict[int, int]:
-    """The exponent map m applied to the vector v, both {index: exponent}.
-
-    Sums run over F2 through add_term, which rejects two different powers
-    at one index: the image of a homogeneous vector is homogeneous."""
+def _apply(cols: dict[int, list[tuple[int, int]]], v: dict[int, int]) -> dict[int, int]:
+    """The map with columns cols (by_source) applied to the vector v
+    {index: exponent}, reading only the columns of v's support.  Sums run
+    through add_term, as the image of a homogeneous vector is homogeneous."""
     out: dict[int, int] = {}
-    for (t, s), e in m.items():
-        if s in v:
-            add_term(out, t, v[s] + e)
+    for s, x in v.items():
+        for t, e in cols.get(s, ()):
+            add_term(out, t, x + e)
     return out
 
 
@@ -192,9 +192,9 @@ class GradedModule:
 
     free: list[tuple[int, dict[int, int]]]
     torsion: list[tuple[int, int, dict[int, int]]]
-    # for coordinates of arbitrary cycles: the original differential and
-    # one functional {original: exponent} per summand, towers first
-    _diff: SparseMap
+    # for coordinates of cycles: the differential by source (by_source)
+    # and one functional {original: exponent} per summand, towers first
+    _columns: dict[int, list[tuple[int, int]]]
     _functionals: list[dict[int, int]]
 
     def class_coords(self, x: dict[int, int]) -> tuple[list[int], list[int]]:
@@ -204,7 +204,7 @@ class GradedModule:
         Torsion coords are reduced mod the summand order.  Raises if x is
         not a cycle, or if d x sums two different powers at one index.
         """
-        if _apply(self._diff, x):
+        if _apply(self._columns, x):
             raise ValueError("vector is not a cycle")
         coords = []
         for f in self._functionals:
@@ -247,7 +247,7 @@ def sparse_homology(diff: SparseMap, maslov: list[int]) -> GradedModule:
         n, (n - len(keep)) // 2 - len(pieces), len(free), len(torsion),
         max((a for _y, a, _rep, _f in pieces), default=0),
     )
-    return GradedModule(free, torsion, _diff=diff, _functionals=functionals)
+    return GradedModule(free, torsion, _columns=by_source(diff), _functionals=functionals)
 
 
 def graded_homology(d: list[list[int]], maslov: list[int]) -> GradedModule:
@@ -324,15 +324,13 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     C{i=0, j=w}, enter the boundary ranks, which are taken only for the
     (diagonal, grading) blocks that have arrows.
     """
-    gens = c.gens
-    where = [(j - i, m - 2 * i) for _label, m, i, j in gens]
+    ci, cj = c.i, c.j
+    where = [(j - i, m - 2 * i) for m, i, j in zip(c.maslov, ci, cj)]
     counts = Counter(where)
     # (diagonal, grading) of the sources -> source -> targets, one grading lower
     blocks: dict[tuple[int, int], dict[int, list[int]]] = {}
     for (t, s), a in c.diff.items():
-        _ls, _ms, si, sj = gens[s]
-        _lt, _mt, ti, tj = gens[t]
-        if ti == si + a and tj - ti == sj - si:
+        if ci[t] == ci[s] + a and cj[t] - ci[t] == cj[s] - ci[s]:
             blocks.setdefault(where[s], {}).setdefault(s, []).append(t)
     ranks: dict[tuple[int, int], int] = {}
     for key, targets_of in blocks.items():

@@ -6,7 +6,7 @@ complexes._staircase and add_box build: z0 at 0, z_r^side at
 2r - 2 + side, and the a, b, c and ue of a box at k, k + 1, k + 2 and
 k + 3.  reflection, square_pair and c1_coupling are the three pieces,
 and staircase_with_boxes lays them side by side.  No builder reads a
-label; labels serve printing only.
+name, and the validator reads the columns of the complex.
 
 The validator is the sole source of truth, because the printed formula
 lists these maps come from are easy to mistranscribe.  It checks the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FilteredComplex, SparseMap, _compose, sarkar
+from .complexes import FilteredComplex, SparseMap, _compose, dualize, sarkar
 
 
 @dataclass
@@ -44,13 +44,14 @@ def involution_from_rules(c: FilteredComplex, rules: SparseMap) -> Involution:
     Every index must be a generator of c and every generator must have
     an image; a matrix that breaks a law raises with the violation list.
     """
-    n = len(c.gens)
+    n = len(c.maslov)
     outside = sorted({k for key in rules for k in key if not 0 <= k < n})
     if outside:
         raise ValueError("involution names indices %s, not generators of the complex" % outside)
     missing = set(range(n)) - {s for _t, s in rules}
     if missing:
-        raise ValueError("no involution image for %s" % sorted(c.gens[k].label for k in missing))
+        names = c.labels()
+        raise ValueError("no involution image for %s" % sorted(names[k] for k in missing))
     iota = Involution(c, rules)
     problems = validate_involution(iota)
     if problems:
@@ -63,19 +64,16 @@ def validate_involution(iota: Involution) -> list[str]:
 
     The entry laws come first, since the products need a graded map."""
     c, f = iota.complex, iota.matrix
-    gens = c.gens
+    labels, maslov, ci, cj = c.labels(), c.maslov, c.i, c.j
     problems = []
     for (t, s), a in f.items():
-        s_label, s_maslov, si, sj = gens[s]
-        t_label, t_maslov, ti, tj = gens[t]
-        if t_maslov - 2 * a != s_maslov:
+        if maslov[t] - 2 * a != maslov[s]:
             problems.append(
-                "grading law broken on U^%d %s in iota(%s)" % (a, t_label, s_label)
+                "grading law broken on U^%d %s in iota(%s)" % (a, labels[t], labels[s])
             )
-        if (ti - a, tj - a) != (sj, si):
+        if (ci[t] - a, cj[t] - a) != (cj[s], ci[s]):
             problems.append(
-                "term U^%d %s of iota(%s) not in the transposed slot"
-                % (a, t_label, s_label)
+                "term U^%d %s of iota(%s) not in the transposed slot" % (a, labels[t], labels[s])
             )
     if problems:
         return problems
@@ -129,7 +127,7 @@ def staircase_with_boxes(v: int, coupled: int | None, paired: list[int]) -> Spar
 
 
 def standard_staircase_involution(c: FilteredComplex) -> Involution:
-    return involution_from_rules(c, reflection((len(c.gens) - 1) // 2))
+    return involution_from_rules(c, reflection((len(c.maslov) - 1) // 2))
 
 
 def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
@@ -138,16 +136,10 @@ def dual_involution(iota: Involution, dual_c: FilteredComplex) -> Involution:
     dualize keeps generator order, so the matrix transposes slot for slot.
     Each law validate_involution checks transposes, and the transpose of
     sarkar(c) is sarkar(dualize(c)), so the result is valid without a
-    second check.  The guard is the test dual_c == dualize(c), made
-    field by field and arrow by arrow against c without building a dual.
+    second check.  The guard is the test dual_c == dualize(c): equal
+    names, columns and arrows.
     """
-    c = iota.complex
-    if (
-        len(dual_c.gens) != len(c.gens)
-        or len(dual_c.diff) != len(c.diff)
-        or any(d != (lab, -m, -i, -j) for d, (lab, m, i, j) in zip(dual_c.gens, c.gens))
-        or any(c.diff.get((s, t)) != a for (t, s), a in dual_c.diff.items())
-    ):
+    if dual_c != dualize(iota.complex):
         raise ValueError("dual_involution needs the dual of the involution's complex")
     return transposed(iota, dual_c)
 
@@ -167,4 +159,4 @@ def figure_eight_involution(c: FilteredComplex) -> Involution:
 
 
 def identity_involution(c: FilteredComplex) -> Involution:
-    return involution_from_rules(c, {(k, k): 0 for k in range(len(c.gens))})
+    return involution_from_rules(c, {(k, k): 0 for k in range(len(c.maslov))})

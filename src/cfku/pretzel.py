@@ -11,22 +11,19 @@ reflection behaviour of the staircase ends.  A model is defined by its
 staircase steps and, for C1, its box, so many pairs share one;
 model_triple reduces each model once per process, in both chiralities.
 
-The full complex is the direct sum of a head, the model complex (the
-staircase and, for C1, the box its involution couples to it), and
-translated copies of one box; its involution is the head's plus one
-square map per pair of boxes.  So each distinct piece is validated once
-per process (the staircase and _head per step tuple, _box, _pair), and
-_check_layout proves in one linear pass that a full complex and its
-involution are those pieces laid out as the layout says; validate and
-validate_involution of the whole stay the reference in the tests.
+The full complex is a head, the model complex (the staircase and, for
+C1, the box its involution couples to it), plus translated copies of one
+box, and its involution is the head's plus one square map per pair of
+boxes.  Each distinct piece is validated once per process (the staircase
+and _head per step tuple, _box, _pair); _full_layout extends the pieces'
+columns by translation, and _check_layout proves in one linear pass that
+a full complex and its involution are those pieces laid out.
 
 The steps depend on m + n alone, so the pure work that a report repeats
-for the same steps or pair is kept per process, as model_triple is: the
-staircase, the heads, the staircase's rank table, the box's, n(K) of
-the steps and the box counts of the pair.  Each memo holds only tuples,
-immutable values or read-only views, and keeps nothing for a call that
-raises.  classify is not cached: it checks n(K) and the main-diagonal
-parity on every call, through the name box_multiplicities.
+for the same steps or pair is kept per process, as model_triple is.
+Each memo holds only tuples, immutable values or read-only views, and
+keeps nothing for a call that raises.  classify is not cached: it checks
+n(K) and the main-diagonal parity on every call.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .complexes import (
+    BOX_NAMES,
     FilteredComplex,
-    Generator,
     SparseMap,
     add_box,
     build_box,
@@ -48,6 +45,7 @@ from .complexes import (
     dualize,
     require_valid,
     staircase_n_of_k,
+    staircase_names,
 )
 from .cone import involutive_invariants
 from .homology import alexander_poly, genus_detect, hfk_hat
@@ -202,16 +200,20 @@ class Layout(NamedTuple):
     count boxes at the corner and count mirrors at the transposed corner,
     all with the one grading.  coupled is the offset of the C1 box, the
     first main-diagonal box when that diagonal's count is odd (else
-    None); paired the offsets of the others, pair by pair; size the
-    generator count.  The full complex of a pair is this layout of its
-    box counts, the C1 model of {0: 1} and the other models of none.
+    None); paired, read only by the checks and the involutions, the
+    offsets of the others; size the generator count.  The full complex of
+    a pair is this layout of its box counts, the C1 model of {0: 1}.
     """
 
     v: int
     blocks: tuple[tuple[tuple[int, int], int, int], ...]
     coupled: int | None
-    paired: tuple[int, ...]
     size: int
+
+    @property
+    def paired(self) -> tuple[int, ...]:
+        """The offsets of the boxes but the C1 box, pair by pair."""
+        return tuple(k for k in range(2 * self.v + 1, self.size, 4) if k != self.coupled)
 
 
 def box_layout(v: int, boxes: dict[int, int]) -> Layout:
@@ -221,17 +223,15 @@ def box_layout(v: int, boxes: dict[int, int]) -> Layout:
     shares one corner, centred so the corner sum is -2 (s even) or -1
     (s odd), and its a sits at Maslov ci + cj + g + 1, g = v + 1.
     """
-    blocks, paired, coupled, k = [], [], None, 2 * v + 1
+    blocks, coupled, k = [], None, 2 * v + 1
     for s in sorted((s for s, count in boxes.items() if s >= 0 and count), reverse=True):
         ci = -1 - s // 2
         cj = s + ci
         blocks.append(((ci, cj), ci + cj + v + 2, boxes[s]))
-        n = 2 * boxes[s] if s else boxes[s]
-        if not s and n % 2:
-            coupled, k, n = k, k + 4, n - 1
-        paired += range(k, k + 4 * n, 4)
-        k += 4 * n
-    return Layout(v, tuple(blocks), coupled, tuple(paired), k)
+        if not s and boxes[s] % 2:
+            coupled = k
+        k += 4 * (2 * boxes[s] if s else boxes[s])
+    return Layout(v, tuple(blocks), coupled, k)
 
 
 @functools.cache
@@ -280,19 +280,21 @@ def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
 
 
 class _Piece(NamedTuple):
-    """A validated complex and its involution's matrix, as tuples, so that
-    a memo hands out nothing a caller could change."""
+    """A validated complex, as names, columns (maslov, i, j) and arrows, and
+    its involution's matrix, all tuples: nothing a caller could change."""
 
-    gens: tuple[Generator, ...]
+    names: tuple[str, ...]
+    columns: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     diff: tuple[tuple[tuple[int, int], int], ...]
     iota: tuple[tuple[tuple[int, int], int], ...]
 
     def complex(self) -> FilteredComplex:
-        return FilteredComplex(list(self.gens), dict(self.diff))
+        return FilteredComplex(list(self.names), *map(list, self.columns), dict(self.diff))
 
 
 def _piece(c: FilteredComplex, iota: SparseMap) -> _Piece:
-    return _Piece(tuple(c.gens), tuple(c.diff.items()), tuple(iota.items()))
+    columns = (tuple(c.maslov), tuple(c.i), tuple(c.j))
+    return _Piece(tuple(c.labels()), columns, tuple(c.diff.items()), tuple(iota.items()))
 
 
 @functools.cache
@@ -373,33 +375,31 @@ def _check_layout(
     a, with its four arrows; and each pair sit at mirrored corners with
     one grading.  The head's and each pair's iota entries must be in
     rules.  Entry counts then leave no d or iota entry outside the
-    blocks, and labels must be unique.  That is every law validate and
-    validate_involution check: a direct sum of valid blocks is valid,
-    and translation keeps each law (_pair).  Each check reads whole
-    columns of c, and only a failed one looks for the block to name.
+    blocks.  That is every law validate and validate_involution check
+    (unique names hold by construction, _full_names): a direct sum of
+    valid blocks is valid, and translation keeps each law (_pair).  Each
+    check reads slices of whole columns of c, and only a failed one looks
+    for the block to name.
     """
     stair = 2 * layout.v + 1
     coupled, paired, size = layout.coupled, layout.paired, layout.size
-    gens, diff = c.gens, c.diff
-    if len(gens) != size:
-        raise ValueError("the layout has %d generators, the complex %d" % (size, len(gens)))
+    diff, columns = c.diff, (c.maslov, c.i, c.j)
+    if {len(col) for col in columns} != {size}:
+        raise ValueError("the layout has %d generators, the complex %d" % (size, len(c.maslov)))
     head, box = _head(steps, coupled is not None), _box()
     at = list(range(stair))  # index in c of each generator of the head
-    if gens[:stair] != list(head.gens[:stair]):
+    slices = list(zip(columns, head.columns))
+    if any(tuple(col[:stair]) != h[:stair] for col, h in slices):
         raise ValueError("the staircase is not the validated head's")
     if coupled is not None:
         at += range(coupled, coupled + 4)
-        if [g[1:] for g in gens[coupled:coupled + 4]] != [g[1:] for g in head.gens[stair:]]:
+        if any(tuple(col[coupled:coupled + 4]) != h[stair:] for col, h in slices):
             raise ValueError("the C1 box at %d is not the validated head's" % coupled)
-    labels, *columns = zip(*gens)  # label, then maslov, i and j
-    if paired:
-        a_of = itemgetter(*paired)
-        ma, ai, aj = box.gens[0][1:]
-        for r, (_l, m, i, j) in enumerate(box.gens[1:], start=1):
-            r_of = itemgetter(*[k + r for k in paired])
-            for col, step in zip(columns, (m - ma, i - ai, j - aj)):
-                if set(map(sub, r_of(col), a_of(col))) != {step}:
-                    k = next(k for k in paired if col[k + r] - col[k] != step)
+    if paired:  # every box, the C1 box too, is the validated box translated
+        for col, piece in zip(columns, box.columns):
+            for r in range(1, 4):
+                if set(map(sub, col[stair + r::4], col[stair::4])) != {piece[r] - piece[0]}:
+                    k = next(k for k in paired if col[k + r] - col[k] != piece[r] - piece[0])
                     raise ValueError("the box at %d is not the validated box translated" % k)
         pairs = zip(paired[::2], paired[1::2])
         first, mirror = itemgetter(*paired[::2]), itemgetter(*paired[1::2])
@@ -420,8 +420,6 @@ def _check_layout(
     outside = len(diff) - len(head.diff) - len(box.diff) * len(paired)
     if outside:
         raise ValueError("the differential has %d entries outside the blocks" % outside)
-    if len(set(labels)) != size:
-        raise ValueError("duplicate generator labels")
     if rules is None:
         return
     pair = _pair()
@@ -454,22 +452,39 @@ def full_complex(params: PretzelParams) -> FilteredComplex:
 
 
 def _full_layout(params: PretzelParams, layout: Layout) -> FilteredComplex:
-    """full_complex before _check_layout, its generator count checked.
-    Labels, read only for printing, suffix the t-th box of a diagonal
-    with _p{s}_{t}, _m{s}_{t} or _d{t}."""
-    c = _staircase_piece(params.steps).complex()
+    """full_complex before _check_layout, its generator count checked: the
+    staircase piece's columns and arrows, then the box piece's, translated
+    to each box; names are formatted only when read (_full_names).  The
+    head is validated before the box, in the order _check_layout reads."""
+    _head(params.steps, layout.coupled is not None)
+    stair, box = _staircase_piece(params.steps), _box()
+    maslov, col_i, col_j = map(list, stair.columns)
     for (ci, cj), ma, count in layout.blocks:
+        corners = ((ci, cj), (cj, ci))[: 1 if ci == cj else 2]
+        maslov += [ma + m for _corner in corners for m in box.columns[0]] * count
+        col_i += [x + i for x, _y in corners for i in box.columns[1]] * count
+        col_j += [y + j for _x, y in corners for j in box.columns[2]] * count
+    size, want = len(maslov), 4 + (params.m - 2) * (params.n - 2)
+    if size != want:
+        raise ValueError("full complex has %d generators, expected %d" % (size, want))
+    diff = dict(stair.diff)
+    for k in range(len(stair.names), size, 4):
+        for (t, s), a in box.diff:
+            diff[(k + t, k + s)] = a
+    return FilteredComplex(functools.partial(_full_names, layout), maslov, col_i, col_j, diff)
+
+
+def _full_names(layout: Layout) -> list[str]:
+    """The names of the full complex of layout: the staircase's, then
+    a, b, c and ue of the t-th box of diagonal s suffixed _p{s}_{t}, of
+    its mirror _m{s}_{t}, and of the t-th main-diagonal box _d{t}."""
+    names = staircase_names(layout.v)
+    for (ci, cj), _ma, count in layout.blocks:
         s = cj - ci
         for t in range(1, count + 1):
-            if s == 0:
-                add_box(c, (ci, cj), ma, "_d%d" % t)
-            else:
-                add_box(c, (ci, cj), ma, "_p%d_%d" % (s, t))
-                add_box(c, (cj, ci), ma, "_m%d_%d" % (s, t))
-    want = 4 + (params.m - 2) * (params.n - 2)
-    if len(c.gens) != want:
-        raise ValueError("full complex has %d generators, expected %d" % (len(c.gens), want))
-    return c
+            suffixes = ("_p%d_%d" % (s, t), "_m%d_%d" % (s, t)) if s else ("_d%d" % t,)
+            names += [name + suffix for suffix in suffixes for name in BOX_NAMES]
+    return names
 
 
 def layout_involution(c: FilteredComplex, v: int, boxes: dict[int, int]) -> Involution:
@@ -495,9 +510,7 @@ def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
     return _checked_involution(c, params.steps, box_layout(spec.v, spec.boxes))
 
 
-def _checked_involution(
-    c: FilteredComplex, steps: tuple[int, ...], layout: Layout
-) -> Involution:
+def _checked_involution(c: FilteredComplex, steps: tuple[int, ...], layout: Layout) -> Involution:
     """full_involution's matrix and check, on a layout already built."""
     rules = staircase_with_boxes(layout.v, layout.coupled, layout.paired)
     _check_layout(c, steps, layout, rules)

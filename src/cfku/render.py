@@ -9,22 +9,17 @@ reproduces the dot-and-box diagrams of the source figures.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
-from .complexes import FilteredComplex, Generator, SubquotientComplex, validate
+from .complexes import FilteredComplex, Generator, SubquotientComplex, from_gens, validate
 
 
 def complex_to_json(c: FilteredComplex) -> dict:
+    labels = c.labels()
     return {
-        "generators": [
-            {"label": g.label, "maslov": g.maslov, "i": g.i, "j": g.j}
-            for g in c.gens
-        ],
+        "generators": [g._asdict() for g in c.gens],
         "differential": [
-            {
-                "source": c.gens[s].label,
-                "target": c.gens[t].label,
-                "upowers": [a],
-            }
+            {"source": labels[s], "target": labels[t], "upowers": [a]}
             for (t, s), a in sorted(c.diff.items())
         ],
     }
@@ -52,7 +47,7 @@ def complex_from_json(d: dict) -> FilteredComplex:
             Generator(*[_typed(g[key], kind, key) for key, kind in _GENERATOR_FIELDS])
             for g in _typed(d["generators"], list, "generators")
         ]
-        c = FilteredComplex(gens)
+        c = from_gens(gens)
         slot = c.indices()
         for e in _typed(d["differential"], list, "differential"):
             key = (slot[e["target"]], slot[e["source"]])
@@ -100,6 +95,7 @@ def _edge_label(a: int) -> str:
 
 def render_dot(c: FilteredComplex, name: str = "complex") -> str:
     lines = ["digraph %s {" % name, "  rankdir=LR;", "  node [shape=circle];"]
+    labels = c.labels()
     for g in c.gens:
         lines.append(
             '  "%s" [label="%s\\n(%d,%d) M=%d"];' % (g.label, g.label, g.i, g.j, g.maslov)
@@ -107,20 +103,15 @@ def render_dot(c: FilteredComplex, name: str = "complex") -> str:
     for (t, s), a in sorted(c.diff.items()):
         label = _edge_label(a)
         attr = ' [label="%s"]' % label if label else ""
-        lines.append('  "%s" -> "%s"%s;' % (c.gens[s].label, c.gens[t].label, attr))
+        lines.append('  "%s" -> "%s"%s;' % (labels[s], labels[t], attr))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def render_ascii(c: FilteredComplex) -> str:
     """Plane grid of generator counts, j increasing upward."""
-    counts: dict[tuple[int, int], int] = {}
-    for g in c.gens:
-        counts[(g.i, g.j)] = counts.get((g.i, g.j), 0) + 1
-    imin = min(g.i for g in c.gens)
-    imax = max(g.i for g in c.gens)
-    jmin = min(g.j for g in c.gens)
-    jmax = max(g.j for g in c.gens)
+    counts = Counter(zip(c.i, c.j))
+    imin, imax, jmin, jmax = min(c.i), max(c.i), min(c.j), max(c.j)
     width = max(len(str(i)) for i in range(imin, imax + 1))
     width = max(width, max(len(str(n)) for n in counts.values()), 1) + 1
     lines = []

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
-    FilteredComplex,
     Generator,
     _staircase,
     add_shifted,
@@ -26,6 +25,7 @@ from cfku.complexes import (
     direct_sum,
     dualize,
     figure_eight_complex,
+    from_gens,
     left_trefoil_complex,
     phi_psi,
     right_trefoil_complex,
@@ -129,7 +129,7 @@ def test_direct_sum_collision():
 
 
 def test_direct_sum_validates():
-    bad = FilteredComplex(
+    bad = from_gens(
         [Generator("x", 0, 0, 0), Generator("y", 0, 0, 0)],
         {(1, 0): 0},
     )
@@ -156,7 +156,7 @@ def test_dual_negates():
 
 
 def test_validate_catches_grading_fault():
-    c = FilteredComplex(
+    c = from_gens(
         [Generator("x", 0, 0, 0), Generator("y", 0, 0, 0)],
         {(1, 0): 0},
     )
@@ -164,7 +164,7 @@ def test_validate_catches_grading_fault():
 
 
 def test_validate_catches_filtration_fault():
-    c = FilteredComplex(
+    c = from_gens(
         [Generator("x", 0, 0, 0), Generator("y", -1, 1, 0)],
         {(1, 0): 0},
     )
@@ -172,7 +172,7 @@ def test_validate_catches_filtration_fault():
 
 
 def test_validate_catches_d_squared():
-    c = FilteredComplex(
+    c = from_gens(
         [
             Generator("x", 0, 0, 0),
             Generator("y", -1, -1, 0),
@@ -182,7 +182,8 @@ def test_validate_catches_d_squared():
     )
     assert validate(c) == ["d^2 != 0: d^2(x) contains z"]
     # a second path from x to z cancels the first over F2
-    c.gens.append(Generator("w", -1, -1, 0))
+    for col, x in zip((c.names, c.maslov, c.i, c.j), ("w", -1, -1, 0)):
+        col.append(x)
     c.diff.update({(3, 0): 0, (2, 3): 0})
     assert validate(c) == []
 
@@ -198,7 +199,7 @@ def test_subquotient_regions():
 def test_a0_rejects_a_negative_power():
     # x at (0, 0) enters A0- as itself and y at (5, 5) as U^5 y, so the
     # arrow dx = y, which breaks the filtration law, would need U^-5
-    c = FilteredComplex([Generator("x", 1, 0, 0), Generator("y", 0, 5, 5)], {(1, 0): 0})
+    c = from_gens([Generator("x", 1, 0, 0), Generator("y", 0, 5, 5)], {(1, 0): 0})
     message = r"differential does not restrict to A0-: U\^-5 from x to y"
     with pytest.raises(ValueError, match=message):
         subquotient(c)
@@ -308,7 +309,7 @@ def _reference_staircase(sign, step_lengths):
             arrow(src, "z0" if r == 1 else "z%d_%d" % (r - 1, side))
             if r < v:
                 arrow(src, "z%d_%d" % (r + 1, side))
-    return FilteredComplex(gens, diff)
+    return from_gens(gens, diff)
 
 
 def test_staircase_by_index_matches_the_label_walk():

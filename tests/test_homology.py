@@ -30,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 
 from cfku import upoly as up
 from cfku.complexes import (
-    FilteredComplex,
     Generator,
     add_shifted,
     build_box,
@@ -38,6 +37,7 @@ from cfku.complexes import (
     direct_sum,
     dualize,
     figure_eight_complex,
+    from_gens,
     left_trefoil_complex,
     relabel,
     right_trefoil_complex,
@@ -526,13 +526,13 @@ def test_hfk_hat_matches_per_diagonal():
     # arrows U^1: dx = U y stays in the i = 0 slice and on its diagonal,
     # dx' = U y' leaves the slice, and in a box whose corner sits one
     # U-step out, db = dc = U ue stay in the slice across diagonals
-    pairs = FilteredComplex(
+    pairs = from_gens(
         [Generator("x", 1, 0, 0), Generator("y", 2, 1, 1),
          Generator("x'", 1, 0, 0), Generator("y'", 2, 0, 1)],
         {(1, 0): 1, (3, 2): 1},
     )
     box = build_box((0, 0))
-    box.gens[3] = Generator("ue", 2, 1, 1)
+    box.maslov[3], box.i[3], box.j[3] = 2, 1, 1
     box.diff.update({(3, 1): 1, (3, 2): 1})
     examples += [pairs, box, direct_sum([pairs, box])]
     assert hfk_hat(pairs) == {(1, 2): 1, (0, 1): 1}

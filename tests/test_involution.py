@@ -17,6 +17,7 @@ from cfku import upoly as up
 from cfku.complexes import (
     FilteredComplex,
     Generator,
+    from_gens,
     _compose,
     add_term,
     build_box,
@@ -93,7 +94,7 @@ def test_staircase_involution_rejects_non_staircase():
         standard_staircase_involution(figure_eight_complex())
     # a staircase plus a lone generator the reflection does not reach
     stair = build_staircase("negative", (1, 2))
-    extra = FilteredComplex([Generator("x", stair.gens[0].maslov, 0, 0)], {})
+    extra = FilteredComplex(["x"], [stair.maslov[0]], [0], [0])
     with pytest.raises(ValueError, match=re.escape("no involution image for ['x']")):
         standard_staircase_involution(direct_sum([stair, extra]))
 
@@ -105,7 +106,7 @@ def test_staircase_involution_rejects_non_staircase():
 def test_validator_grading_law():
     # the right slot but Maslov shift 2: x and y sit at the origin in
     # gradings 0 and 2, and iota swaps them
-    c = FilteredComplex([Generator("x", 0, 0, 0), Generator("y", 2, 0, 0)], {})
+    c = FilteredComplex(["x", "y"], [0, 2], [0, 0], [0, 0])
     problems = validate_involution(Involution(c, {(1, 0): 0, (0, 1): 0}))
     assert len(problems) == 2
     assert all("grading law broken" in p for p in problems)
@@ -126,7 +127,7 @@ def test_validator_transposed_slot():
 def test_validator_commutation():
     # x -> y and x' -> y' at the origin; swapping x and x' but fixing y
     # and y' keeps the slots and squares to the identity, which is sarkar
-    c = FilteredComplex(
+    c = from_gens(
         [
             Generator("x", 0, 0, 0),
             Generator("y", -1, 0, 0),
@@ -392,31 +393,33 @@ def test_index_involutions_equal_the_label_rules():
 
 
 def _one_field_changes(d):
-    """Copies of the complex d that each differ from it in one respect."""
+    """Copies of the complex d that each differ from it in one respect:
+    a name, one entry of a column, an arrow, the order or the size."""
 
-    def with_gen(k, **change):
-        gens = list(d.gens)
-        gens[k] = gens[k]._replace(**change)
-        return FilteredComplex(gens, dict(d.diff))
+    def with_entry(column, k, change):
+        other = from_gens(d.gens, dict(d.diff))
+        col = getattr(other, column)
+        col[k] = change(col[k])
+        return other
 
     def with_diff(diff):
-        return FilteredComplex(list(d.gens), diff)
+        return from_gens(d.gens, diff)
 
-    g = d.gens[1]
     (t, s), a = next(iter(d.diff.items()))
     assert (s, t) not in d.diff
     swapped = list(d.gens)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     return [
-        with_gen(1, label=g.label + "'"),
-        with_gen(1, maslov=g.maslov + 2),
-        with_gen(1, i=g.i + 1),
-        with_gen(1, j=g.j - 1),
+        with_entry("names", 1, lambda name: name + "'"),
+        with_entry("maslov", 1, lambda m: m + 2),
+        with_entry("i", 1, lambda i: i + 1),
+        with_entry("j", 1, lambda j: j - 1),
+        with_entry("j", len(d.maslov) - 1, lambda j: j + 1),
         with_diff({**d.diff, (t, s): a + 1}),
         with_diff({**d.diff, (s, t): a}),
         with_diff({k: e for k, e in d.diff.items() if k != (t, s)}),
-        FilteredComplex(swapped, dict(d.diff)),
-        FilteredComplex(d.gens[:-1], dict(d.diff)),
+        from_gens(swapped, dict(d.diff)),
+        from_gens(d.gens[:-1], dict(d.diff)),
     ]
 
 
@@ -430,10 +433,10 @@ def test_dual_involution_rejects_other_complex():
     c = full_complex(params)
     iota = full_involution(params, c)
     d = dualize(c)
-    di = dual_involution(iota, FilteredComplex(list(d.gens), dict(d.diff)))
+    di = dual_involution(iota, from_gens(d.gens, dict(d.diff)))
     assert di.matrix == {(s, t): a for (t, s), a in iota.matrix.items()}
     changes = _one_field_changes(d)
-    assert len(changes) == 9
+    assert len(changes) == 10
     for other in changes:
         assert other != d
         with pytest.raises(ValueError, match="needs the dual"):
