@@ -40,6 +40,9 @@ MISMATCH_ERROR = 1
 IO_ERROR = 3
 INTERNAL_ERROR = 4
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+# show --which full builds the whole full complex, 4 + (m-2)(n-2)
+# generators; (301, 301), with 89,405, is the largest square pair allowed
+SHOW_FULL_MAX_GENS = 90_000
 
 
 def _usage_error(parser: argparse.ArgumentParser, command: str, message: str):
@@ -199,6 +202,13 @@ def cmd_show(parser, args) -> int:
             % (args.which, args.format),
         )
     if args.which == "full":
+        size = 4 + (args.m - 2) * (args.n - 2)
+        if size > SHOW_FULL_MAX_GENS:
+            _usage_error(
+                parser, "show",
+                "--which full of (%d, %d) would have %d generators, more than the bound %d"
+                % (args.m, args.n, size, SHOW_FULL_MAX_GENS),
+            )
         c = full_complex(params)
     else:
         c = model_complex(params)
@@ -302,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("show", help="render a complex or subquotient")
     add_mn(p)
-    p.add_argument("--which", choices=["full", "model", "A0", "cone"], default="full")
+    p.add_argument(
+        "--which", choices=["full", "model", "A0", "cone"], default="full",
+        help="full (the default) refuses a pair whose full complex would have "
+        "more than %s generators, 4 + (m-2)(n-2)" % format(SHOW_FULL_MAX_GENS, ","),
+    )
     add_common(p, ["table", "json", "dot", "ascii"])
 
     p = sub.add_parser("examples", help="worked small examples")

@@ -51,6 +51,7 @@ from .complexes import (
     _compose,
     add_term,
     by_source,
+    d_squared_support,
     restrict_to_a0,
     subquotient,
 )
@@ -74,9 +75,10 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
     homotopy equivalence; iota becomes iota' = P iota I.  The result
     keeps the surviving entries of the A0- basis.  iota' squares to the
     Sarkar map only up to homotopy, so it is not an Involution; instead
-    d'^2 = 0, iota' d' = d' iota' and the grading law of every iota'
-    entry are checked (eliminate reads every d' exponent off the
-    gradings), and any failure raises ValueError.
+    the grading law of every iota' entry, d'^2 = 0 (on F2 supports,
+    complexes.d_squared_support, as eliminate reads every d' exponent
+    off the gradings) and iota' d' = d' iota' are checked, and any
+    failure raises ValueError.
     """
     a0 = subquotient(c)
     keep, diff, inc, proj, _torsion = eliminate(a0.diff, a0.maslov, units_only=True)
@@ -88,7 +90,7 @@ def cancel_units(c: FilteredComplex, iota: Involution) -> tuple[SubquotientCompl
         if maslov[t] - 2 * a != maslov[s]
     ]
     if not problems:
-        if _compose(diff, diff):
+        if d_squared_support(diff):
             problems.append("d'^2 != 0")
         if _compose(diff, fmap) != _compose(fmap, diff):
             problems.append("iota' does not commute with d'")

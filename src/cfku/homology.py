@@ -1,36 +1,36 @@
 """Homology of free graded F2[U]-complexes and the classical outputs.
 
-sparse_homology is the one homology routine.  It takes the differential
-as an exponent map (one int a per entry, meaning U^a, as everywhere in
-cfku) and runs one Gaussian elimination (eliminate) over all arrows.
-Each step pivots on the entry U^a of lowest exponent in what remains; a
-unit pivot (a = 0) cancels an acyclic piece, and a pivot with a > 0
-splits off a torsion summand F[U]/U^a.  Generators left with no arrows
-are the towers.  eliminate checks the grading law M(t) - 2a = M(s) - 1
-on every entry; the law fixes every exponent, so it works on F2
-supports and reads the exponents off the gradings.  After it, and on
-F2 supports for the same reason, sparse_homology checks d^2 = 0 on
-every differential (complexes.d_squared_support).  This is the
-structure theorem for free graded complexes over F[U] run as an
-algorithm (the reduction method of Kaczynski, Mischaikow
-and Mrozek, "Computational Homology").  The elimination keeps its
-inclusion and projection, so every summand comes with an explicit cycle
-representative and a coordinate functional, both sparse vectors
-{original index: exponent}.  The grading law fixes one power of U per
-index, so a homogeneous vector is a monomial in every coordinate, and
-any homogeneous cycle of the original complex, written the same way,
-can be rewritten in summand coordinates (needed for the image-of-Q
-tests in the involutive invariants).  The cycle check of class_coords
-runs on the original differential, since the projection can send a
-non-cycle to a cycle.
-cone.cancel_units runs the same elimination with units_only, which stops
-after the unit pivots.
+eliminate is the one elimination: sparse_homology, hfk_hat and
+cone.cancel_units all run it.  It takes the differential as an exponent
+map (one int a per entry, meaning U^a, as everywhere in cfku).  Each
+step pivots on the entry U^a of lowest exponent in what remains; a unit
+pivot (a = 0) cancels an acyclic piece, and a pivot with a > 0 splits
+off a torsion summand F[U]/U^a.  Generators left with no arrows are the
+towers.  eliminate checks the grading law M(t) - 2a = M(s) - 1 on every
+entry; the law fixes every exponent, so it works on F2 supports and
+reads the exponents off the gradings.  This is the structure theorem
+for free graded complexes over F[U] run as an algorithm (the reduction
+method of Kaczynski, Mischaikow and Mrozek, "Computational Homology").
 
-graded_homology is the dense front door: it takes one square matrix of
-F2[U] polynomials, checks d^2 = 0 on it, reads each entry as one
-exponent and calls sparse_homology.  A non-monomial entry means the
-differential is not graded and raises ValueError, which the CLI reports
-as an internal error (exit 4).
+sparse_homology runs it over all arrows and then, on F2 supports for the
+same reason, checks d^2 = 0 (complexes.d_squared_support).  The
+elimination keeps its inclusion and projection, so every summand comes
+with an explicit cycle representative and a coordinate functional, both
+sparse vectors {original index: exponent}.  The grading law fixes one
+power of U per index, so a homogeneous vector is a monomial in every
+coordinate, and any homogeneous cycle of the original complex, written
+the same way, can be rewritten in summand coordinates (needed for the
+image-of-Q tests in the involutive invariants).  The cycle check of
+class_coords runs on the original differential, since the projection can
+send a non-cycle to a cycle.  hfk_hat runs it on the unit arrows of the
+i = 0 slice and counts the generators it keeps; cone.cancel_units runs
+it with units_only, which stops after the unit pivots.
+
+graded_homology is the dense front door, which no command calls: it
+takes one square matrix of F2[U] polynomials, checks d^2 = 0 on it,
+reads each entry as one exponent and calls sparse_homology.  A
+non-monomial entry means the differential is not graded and raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def v0_from_homology(h: GradedModule) -> int:
 
 
 def v0(c: FilteredComplex) -> int:
-    """V0 from the homology of the whole, uncancelled A0-: the dense
+    """V0 from the sparse homology of the whole, uncancelled A0-: the
     oracle for the V0 that cone.involutive_invariants reads after
     cancellation."""
     a0 = subquotient(c)
@@ -298,22 +298,6 @@ def v0(c: FilteredComplex) -> int:
 # Knot Floer homology of the associated graded object
 
 
-def _f2_rank(rows: list[int]) -> int:
-    """Rank of a matrix over F2 with rows stored as bitmasks."""
-    rank = 0
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            if low in pivots:
-                row ^= pivots[low]
-            else:
-                pivots[low] = row
-                rank += 1
-                break
-    return rank
-
-
 def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     """Bigraded ranks: (alexander w, maslov k) -> rank of H(C{i=0, j=w}).
 
@@ -321,33 +305,19 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
     x, on the diagonal j - i in grading M - 2i, and an arrow U^a from s
     to t survives the quotient by C{i<0} when i_t = i_s + a.  Only the
     arrows whose ends share a diagonal, those of the direct summands
-    C{i=0, j=w}, enter the boundary ranks, which are taken only for the
-    (diagonal, grading) blocks that have arrows.
+    C{i=0, j=w}, are kept.  The grading law of c makes each of them a
+    unit arrow on the slice gradings, so eliminate cancels them all, and
+    the generators it keeps are a basis of the homology.
     """
-    ci, cj = c.i, c.j
-    where = [(j - i, m - 2 * i) for m, i, j in zip(c.maslov, ci, cj)]
-    counts = Counter(where)
-    # (diagonal, grading) of the sources -> source -> targets, one grading lower
-    blocks: dict[tuple[int, int], dict[int, list[int]]] = {}
-    for (t, s), a in c.diff.items():
-        if ci[t] == ci[s] + a and cj[t] - ci[t] == cj[s] - ci[s]:
-            blocks.setdefault(where[s], {}).setdefault(s, []).append(t)
-    ranks: dict[tuple[int, int], int] = {}
-    for key, targets_of in blocks.items():
-        tpos: dict[int, int] = {}
-        rows = []
-        for targets in targets_of.values():
-            row = 0
-            for t in targets:
-                row |= 1 << tpos.setdefault(t, len(tpos))
-            rows.append(row)
-        ranks[key] = _f2_rank(rows)
-    table: dict[tuple[int, int], int] = {}
-    for (w, k), count in sorted(counts.items()):
-        rank = count - ranks.get((w, k), 0) - ranks.get((w, k + 1), 0)
-        if rank:
-            table[(w, k)] = rank
-    return table
+    ci = c.i
+    where = [(j - i, m - 2 * i) for m, i, j in zip(c.maslov, ci, c.j)]
+    arrows: SparseMap = {
+        (t, s): 0
+        for (t, s), a in c.diff.items()
+        if ci[t] == ci[s] + a and where[t][0] == where[s][0]
+    }
+    keep = eliminate(arrows, [k for _w, k in where], units_only=False)[0]
+    return dict(sorted(Counter(where[k] for k in keep).items()))
 
 
 def alexander_poly(table: dict[tuple[int, int], int]) -> dict[int, int]:

@@ -232,6 +232,31 @@ def test_show_formats(tmp_path, capsys):
     assert "Q " in out
 
 
+def test_show_full_refuses_past_the_size_bound(monkeypatch, capsys):
+    # (303, 303) would have 4 + 301^2 = 90,605 generators; the refusal
+    # comes before anything is built, and (301, 301), 89,405, is allowed
+    built = []
+
+    def full_complex_stub(params):
+        built.append(params)
+        return unknot_complex()
+
+    monkeypatch.setattr(cli, "full_complex", full_complex_stub)
+    with pytest.raises(SystemExit) as e:
+        run(["show", "-m", "303", "-n", "303", "--format", "json"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (
+        "cfku show: error: --which full of (303, 303) would have 90605 "
+        "generators, more than the bound 90000\n"
+    )
+    assert run(["show", "-m", "301", "-n", "301", "--format", "json"]) == 0
+    assert built == [PretzelParams(301, 301)]
+    capsys.readouterr()
+    assert run(["show", "-m", "303", "-n", "303", "--which", "model"]) == 0
+
+
 def test_examples(capsys):
     assert run(["examples", "trefoil"]) == 0
     out = capsys.readouterr().out

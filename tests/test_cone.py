@@ -9,6 +9,7 @@ is feasible.
 import copy
 import dataclasses
 import logging
+import re
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfku import cone as cone_module, pretzel, upoly as up
 from cfku.complexes import (
+    Generator,
     _compose,
     build_box,
     by_source,
@@ -23,6 +25,7 @@ from cfku.complexes import (
     direct_sum,
     dualize,
     figure_eight_complex,
+    from_gens,
     relabel,
     left_trefoil_complex,
     restrict_to_a0,
@@ -452,6 +455,33 @@ def test_cancellation_rejects_non_chain_map():
         cancel_units(c, bad)
     with pytest.raises(ValueError, match="does not commute"):
         involutive_invariants(c, bad)
+
+
+def test_cancellation_names_each_failed_law():
+    def invalid(problem):
+        return re.escape("cancelled A0- is invalid: [%r]" % problem)
+
+    # iota' grading law: one U-power of a validated involution raised by 1
+    params = PretzelParams(5, 5)
+    c = model_complex(params)
+    matrix = model_involution_for(params, c).matrix
+    raised = dict(matrix)
+    raised[(1, 2)] += 1
+    message = invalid("iota' entry U^1 from 0 to 0 breaks the grading law")
+    with pytest.raises(ValueError, match=message):
+        cancel_units(c, Involution(c, raised))
+    # d'^2: x -> U y -> U z has no unit arrow, so d' = d and d^2 x = U^2 z
+    line = from_gens(
+        [Generator("x", 5, 0, 0), Generator("y", 6, 0, 0), Generator("z", 7, 0, 0)],
+        {(1, 0): 1, (2, 1): 1},
+    )
+    with pytest.raises(ValueError, match=invalid("d'^2 != 0")):
+        cancel_units(line, Involution(line, {(k, k): 0 for k in range(3)}))
+    # commutation: one entry of the same involution dropped
+    dropped = dict(matrix)
+    del dropped[(1, 2)]
+    with pytest.raises(ValueError, match=invalid("iota' does not commute with d'")):
+        cancel_units(c, Involution(c, dropped))
 
 
 def test_invariants_log_cancellation_sizes(caplog):

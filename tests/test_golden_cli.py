@@ -8,9 +8,13 @@ verify_m-max_31_format_json.txt, which pins the names and diagnostics of
 every deep check, on the code before the staircase's rank table was kept
 once per step tuple, and show_m_11_n_7_which_full_format_json.txt and
 hfk_m_11_n_7.txt, a C3 pair with boxes off the main diagonal, on the
-code before the full complex and its involution were checked by blocks;
-a refactor that changes no answer leaves every one byte-identical. To rewrite them after
-a deliberate change of output, run this file as a script.
+code before the full complex and its involution were checked by blocks,
+and hfk_m_15_n_13.txt (C2) and hfk_m_13_n_11_format_json.txt (C4), so
+that the rank tables of all four families are pinned, on the code
+before hfk_hat read the slice homology off the one elimination; a
+refactor that changes no answer leaves every one byte-identical. To
+rewrite them after a deliberate change of output, run this file as a
+script.
 """
 
 import sys
@@ -40,6 +44,8 @@ COMMANDS = [
     ["show", "-m", "9", "-n", "9", "--which", "full", "--format", "json"],
     ["show", "-m", "11", "-n", "7", "--which", "full", "--format", "json"],
     ["hfk", "-m", "11", "-n", "7"],
+    ["hfk", "-m", "15", "-n", "13"],
+    ["hfk", "-m", "13", "-n", "11", "--format", "json"],
     ["examples", "trefoil"],
     ["examples", "figure-eight"],
     ["examples", "unknot"],
