@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 from . import render
@@ -56,18 +57,38 @@ def _params_or_exit(parser: argparse.ArgumentParser, m: int, n: int) -> PretzelP
         parser.error(str(e))  # exits with code 2
 
 
+def _io_error(out: str | None, e: OSError):
+    sys.stderr.write(
+        "cfku: error: cannot write %s: %s\n" % (out or "stdout", e.strerror or e)
+    )
+    sys.exit(IO_ERROR)
+
+
 def _emit(text: str, out: str | None) -> None:
+    _emit_each((text,), out)
+
+
+def _emit_each(texts: Iterable[str], out: str | None) -> None:
+    """Write each text to the file out, or to stdout, as texts yields it.
+
+    Only opening, writing or closing out is an I/O error (exit 3); an
+    error raised while a text is made passes through."""
     try:
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        fh = open(out, "w") if out else sys.stdout
     except OSError as e:
-        sys.stderr.write(
-            "cfku: error: cannot write %s: %s\n" % (out or "stdout", e.strerror or e)
-        )
-        sys.exit(IO_ERROR)
+        _io_error(out, e)
+    try:
+        for text in texts:
+            try:
+                fh.write(text)
+            except OSError as e:
+                _io_error(out, e)
+    finally:
+        if out:
+            try:
+                fh.close()
+            except OSError as e:
+                _io_error(out, e)
 
 
 def _diagnostic_lines(diagnostics: dict) -> list[str]:
@@ -117,24 +138,74 @@ def cmd_invariants(parser, args) -> int:
     return 0 if ok else MISMATCH_ERROR
 
 
-def _verify_case(case: tuple[int, int, bool, bool]) -> dict:
-    m, n, mirrored, deep = case
-    return report_dict(m, n, mirrored, deep=deep)
+def _verify_case(case: tuple[int, int, bool, bool, bool]) -> tuple[tuple, bool, str]:
+    """Run the verify case (m, n, mirrored, deep, as_json) and return the
+    arguments of its log line, whether every check passed, and its
+    report rendered: a JSON text with sorted keys, or a table line.  With
+    --jobs this runs in a worker, so only text and small tuples, never a
+    report, pass between processes, and the workers share the
+    rendering."""
+    m, n, mirrored, deep, as_json = case
+    r = report_dict(m, n, mirrored, deep=deep)
+    failed = [name for name, ok in r["checks"].items() if not ok]
+    pair, triple = (r["m"], r["n"]), (r["V0"], r["V0_lower"], r["V0_upper"])
+    log_args = (
+        *pair, "mirror" if r["mirrored"] else "knot", *triple,
+        "MISMATCH " + ", ".join(failed) if failed else "ok",
+    )
+    if as_json:
+        return log_args, not failed, json.dumps(r, indent=2, sort_keys=True)
+    return log_args, not failed, "P(-2,%2d,%2d)%s  (V0, lower, upper) = (%d, %d, %d)  %s\n" % (
+        *pair, " mirror" if r["mirrored"] else "       ", *triple,
+        "MISMATCH " + str(r["checks"]) if failed else "ok",
+    )
 
 
-def _collect(reports) -> list[dict]:
-    """Drain the case reports in case order, logging each as it finishes."""
-    out = []
-    for r in reports:
-        failed = [name for name, ok in r["checks"].items() if not ok]
-        log.info(
-            "verify m=%d n=%d %s: (V0, lower, upper) = (%d, %d, %d) %s",
-            r["m"], r["n"], "mirror" if r["mirrored"] else "knot",
-            r["V0"], r["V0_lower"], r["V0_upper"],
-            "MISMATCH " + ", ".join(failed) if failed else "ok",
-        )
-        out.append(r)
-    return out
+def _logged(results: Iterable[tuple[tuple, bool, str]]) -> Iterator[tuple[bool, str]]:
+    """(whether every check passed, rendered report) for each case result
+    in case order, each logged as it arrives."""
+    for log_args, ok, text in results:
+        log.info("verify m=%d n=%d %s: (V0, lower, upper) = (%d, %d, %d) %s", *log_args)
+        yield ok, text
+
+
+def _verify_json(results: Iterable[tuple[bool, str]], out: str | None) -> int:
+    """Write the reports as one JSON document, {"failures", "reports"}
+    with sorted keys, as render.to_json_text would; return the failure
+    count.  The count comes first, so each report is held until the end,
+    as its rendered text only, and indented to its place in the list as
+    it is written."""
+    texts, failures = [], 0
+    for ok, text in results:
+        failures += not ok
+        texts.append(text)
+
+    def document():
+        yield '{\n  "failures": %d,\n  "reports": [\n' % failures
+        for k, text in enumerate(texts):
+            yield (",\n    " if k else "    ") + text.replace("\n", "\n    ")
+        yield "\n  ]\n}\n"
+
+    _emit_each(document(), out)
+    return failures
+
+
+def _verify_table(results: Iterable[tuple[bool, str]], out: str | None) -> int:
+    """Write each table line as it arrives, then the totals; return the
+    failure count."""
+    failures = 0
+
+    def lines():
+        nonlocal failures
+        cases = 0
+        for ok, line in results:
+            cases += 1
+            failures += not ok
+            yield line
+        yield "%d cases, %d failures\n" % (cases, failures)
+
+    _emit_each(lines(), out)
+    return failures
 
 
 def cmd_verify(parser, args) -> int:
@@ -142,38 +213,22 @@ def cmd_verify(parser, args) -> int:
         parser.error("--m-max must be odd and at least 3")
     if args.jobs < 1:
         _usage_error(parser, "verify", "--jobs must be at least 1")
+    as_json = args.format == "json"
     cases = []
     for m in range(3, args.m_max + 1, 2):
         for n in range(3, m + 1, 2):
             # deep structural checks once per pair; theorem both chiralities
-            cases.append((m, n, False, True))
-            cases.append((m, n, True, False))
+            cases.append((m, n, False, True, as_json))
+            cases.append((m, n, True, False, as_json))
+    write = _verify_json if as_json else _verify_table
     if args.jobs > 1:
+        # about 8 tasks per worker, not one a case, so passing tasks and
+        # results between processes costs little; map keeps the case order
+        chunksize = max(1, len(cases) // (8 * args.jobs))
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
-            reports = _collect(pool.map(_verify_case, cases))
+            failures = write(_logged(pool.map(_verify_case, cases, chunksize=chunksize)), args.out)
     else:
-        reports = _collect(map(_verify_case, cases))
-    reports.sort(key=lambda r: (r["m"], r["n"], r["mirrored"]))
-    failures = [r for r in reports if not all(r["checks"].values())]
-    if args.format == "json":
-        _emit(render.to_json_text({"reports": reports, "failures": len(failures)}), args.out)
-    else:
-        lines = []
-        for r in reports:
-            ok = all(r["checks"].values())
-            lines.append(
-                "P(-2,%2d,%2d)%s  (V0, lower, upper) = (%d, %d, %d)  %s"
-                % (
-                    r["m"], r["n"],
-                    " mirror" if r["mirrored"] else "       ",
-                    r["V0"], r["V0_lower"], r["V0_upper"],
-                    "ok" if ok else "MISMATCH " + str(r["checks"]),
-                )
-            )
-        lines.append(
-            "%d cases, %d failures" % (len(reports), len(failures))
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+        failures = write(_logged(map(_verify_case, cases)), args.out)
     return MISMATCH_ERROR if failures else 0
 
 

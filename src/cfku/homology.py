@@ -321,13 +321,16 @@ def hfk_hat(c: FilteredComplex) -> dict[tuple[int, int], int]:
 
 
 def alexander_poly(table: dict[tuple[int, int], int]) -> dict[int, int]:
-    """Graded Euler characteristic of an hfk_hat table, exponent -> coefficient."""
+    """Graded Euler characteristic of an hfk_hat table, exponent ->
+    coefficient, in increasing exponent."""
     out: dict[int, int] = {}
+    get = out.get
     for (w, k), rank in table.items():
-        out[w] = out.get(w, 0) + (-1) ** (k % 2) * rank
-    return {w: coeff for w, coeff in sorted(out.items()) if coeff}
+        out[w] = get(w, 0) + (-rank if k & 1 else rank)
+    return {w: out[w] for w in sorted(out) if out[w]}
 
 
 def genus_detect(table: dict[tuple[int, int], int]) -> int:
-    """Top Alexander grading of an hfk_hat table."""
-    return max(w for (w, _k) in table)
+    """Top Alexander grading of an hfk_hat table: the first grading of its
+    greatest (alexander, maslov) key."""
+    return max(table)[0]

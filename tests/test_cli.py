@@ -164,29 +164,104 @@ def test_verify_mismatch_is_logged(monkeypatch, caplog, capsys):
     )
 
 
-def test_verify_starts_no_more_workers_than_cases(monkeypatch, capsys):
-    # a stand-in pool that records its size and runs the cases in-process
-    sizes = []
+def _one_broken_report(monkeypatch):
+    """Patch cli.report_dict so the mirror of (5, 3) fails its theorem
+    check; return the patched function."""
+    def report(m, n, mirrored, deep=True):
+        r = report_dict(m, n, mirrored, deep=deep)
+        if (m, n, mirrored) == (5, 3, True):
+            r["checks"]["theorem_match"] = False
+            r["diagnostics"] = {"expected": [2, 2, 2], "computed": [2, 2, 3]}
+        return r
 
-    class Pool:
+    monkeypatch.setattr(cli, "report_dict", report)
+    return report
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_streams_the_output_of_one_rendering(monkeypatch, capsys, jobs):
+    # the streamed table and the JSON held as one text per report are the
+    # bytes of rendering every report at once, failures included
+    report = _one_broken_report(monkeypatch)
+    if jobs == "2":  # the pool runs in-process so the patch holds
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    reports = [
+        report(m, n, mirrored, deep=not mirrored)
+        for m in range(3, 10, 2) for n in range(3, m + 1, 2) for mirrored in (False, True)
+    ]
+    assert run(["verify", "--m-max", "9", "--format", "json", "--jobs", jobs]) == 1
+    assert capsys.readouterr().out == render.to_json_text({"reports": reports, "failures": 1})
+    assert run(["verify", "--m-max", "9", "--jobs", jobs]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(reports) + 1 and lines[-1] == "20 cases, 1 failures"
+    assert lines[3] == (
+        "P(-2, 5, 3) mirror  (V0, lower, upper) = (2, 2, 2)  MISMATCH {'theorem_match': False}"
+    )
+
+
+def test_verify_writes_each_line_as_its_report_arrives(monkeypatch, capsys):
+    def report(m, n, mirrored, deep=True):
+        if (m, n) == (5, 5):
+            raise ValueError("broken at (5, 5)")
+        return report_dict(m, n, mirrored, deep=deep)
+
+    monkeypatch.setattr(cli, "report_dict", report)
+    assert run(["verify", "--m-max", "5"]) == cli.INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert [line[:20] for line in captured.out.splitlines()] == [
+        "P(-2, 3, 3)         ", "P(-2, 3, 3) mirror  ",
+        "P(-2, 5, 3)         ", "P(-2, 5, 3) mirror  ",
+    ]
+    assert captured.err == "cfku: internal error: broken at (5, 5)\n"
+
+
+def test_verify_table_output_error_exits_before_any_case(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "report_dict", lambda *a, **k: pytest.fail("a case ran"))
+    with pytest.raises(SystemExit) as e:
+        run(["verify", "--m-max", "21", "--out", str(tmp_path / "missing" / "v.txt")])
+    assert e.value.code == cli.IO_ERROR
+    assert "cannot write" in capsys.readouterr().err
+
+
+class _InProcessPool:
+    """A stand-in ProcessPoolExecutor that runs the cases in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_verify_starts_no_more_workers_than_cases(monkeypatch, capsys):
+    sizes, chunks = [], []
+
+    class Pool(_InProcessPool):
+        """Records each pool's size and chunk size."""
+
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
+            return super().map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
     assert run(["verify", "--m-max", "3", "--jobs", "5000"]) == 0
     assert capsys.readouterr().out.endswith("2 cases, 0 failures\n")
     assert run(["verify", "--m-max", "5", "--jobs", "4"]) == 0
     assert capsys.readouterr().out.endswith("6 cases, 0 failures\n")
-    assert sizes == [2, 4]
+    assert run(["verify", "--m-max", "21", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.endswith("110 cases, 0 failures\n")
+    assert sizes == [2, 4, 2]
+    # about 8 tasks per worker, never an empty one
+    assert chunks == [1, 1, 110 // 16]
 
 
 def test_verify_jobs_deterministic(tmp_path):

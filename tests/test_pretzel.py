@@ -6,7 +6,6 @@ computed correction terms together are genuine cross-checks rather than
 the same formula evaluated twice.
 """
 
-import dataclasses
 import logging
 from collections import Counter, defaultdict
 
@@ -131,6 +130,19 @@ def test_expected_alexander_examples():
     assert sum(alex.values()) == 1
     assert all(alex.get(-w) == c for w, c in alex.items())
     assert max(alex) == 6
+
+
+def test_closed_forms_settle_symmetry_and_genus():
+    # deep_checks reads neither the symmetry of a polynomial equal to
+    # expected_alexander nor the genus of a table equal to expected_hfk
+    for m in range(3, 152, 2):
+        for n in range(3, m + 1, 2):
+            params = PretzelParams(m, n)
+            alex = expected_alexander(params)
+            assert [*alex] == sorted(alex) == [-e for e in reversed(alex)], (m, n)
+            assert [*alex.values()] == [*reversed(alex.values())], (m, n)
+            assert sum(alex.values()) == 1, (m, n)
+            assert genus_detect(expected_hfk(params)) == params.g, (m, n)
 
 
 def test_full_complex_matches_rank_table():
@@ -331,10 +343,12 @@ def test_wrong_box_count_is_a_failed_check(monkeypatch, capsys):
 
 
 def test_shallow_mismatch_diagnostics_hold_the_triples(monkeypatch):
-    real = compute_invariants
+    # report_dict reads the knot's triple off model_triple, as
+    # compute_invariants does
+    real = model_triple
     monkeypatch.setattr(
-        pretzel, "compute_invariants",
-        lambda params, mirrored: dataclasses.replace(real(params, mirrored), V0_upper=7),
+        pretzel, "model_triple",
+        lambda steps, coupled: ((0, 0, 7), real(steps, coupled)[1]),
     )
     rep = report_dict(5, 5, False, deep=False)
     assert rep["checks"] == {"theorem_match": False}
@@ -432,7 +446,6 @@ _MEMOS = (
     pretzel._box,
     pretzel._staircase_table,
     pretzel._box_table,
-    pretzel._box_counts,
     pretzel._steps_n_of_k,
 )
 
@@ -535,6 +548,43 @@ def test_block_path_equals_the_whole_complex():
             params = PretzelParams(m, n)
             full = full_complex(params)
             assert pretzel.block_hfk(params) == (hfk_hat(full), len(full.gens)), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(41, 41), (43, 39), (61, 3), (61, 57)])
+def test_block_path_equals_the_whole_complex_beyond_21(m, n):
+    # C1 with m = n, C3 with (n - 3)/2 boxes on each of diagonals 2, 0 and
+    # -2, the staircase alone (n = 3), and C1 with m > n; up to 3,249
+    # generators, where the exhaustive test stops at m = 21
+    params = PretzelParams(m, n)
+    full = full_complex(params)
+    assert len(full.maslov) == 4 + (m - 2) * (n - 2)
+    assert pretzel.block_hfk(params) == (hfk_hat(full), len(full.maslov))
+
+
+def test_a_report_classifies_its_pair_once_and_counts_its_boxes_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(pretzel, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pretzel, name, call)
+
+    for name in ("classify", "box_multiplicities"):
+        counted(name)
+    for warm in (False, True):
+        for m, n in [(5, 5), (9, 7), (21, 3), (21, 19)]:
+            for mirrored in (False, True):
+                for deep in (False, True):
+                    if not warm:
+                        _clear_memos()
+                    calls.clear()
+                    rep = report_dict(m, n, mirrored, deep=deep)
+                    assert all(rep["checks"].values())
+                    assert calls == {"classify": 1, "box_multiplicities": 1}, (m, n, mirrored, deep)
 
 
 def test_block_moved_off_its_diagonal_fails_both_paths_alike(monkeypatch):
