@@ -277,7 +277,6 @@ def cmd_show(parser, args) -> int:
         else:
             _emit(render.generator_table(c), args.out)
         return 0
-    iota = model_involution_for(params, c)
     if args.which == "A0":
         sq = subquotient(c)
         if args.format == "json":
@@ -285,7 +284,7 @@ def cmd_show(parser, args) -> int:
             return 0
         labels, maslov, width = sq.labels(), sq.maslov, 12
     else:
-        cone = build_cone(c, iota)
+        cone = build_cone(c, model_involution_for(params, c))
         labels, maslov, width = cone.labels, cone.maslov, 16
         if args.format == "json":
             data = [{"label": lab, "maslov": mm} for lab, mm in zip(labels, maslov)]

@@ -14,14 +14,17 @@ grading law of shift 0 and the exact transposed slot on every entry
 (the slot implies the skew-filtration), iota d = d iota, and iota^2 =
 sarkar(c), the Sarkar map 1 + U^-1 Phi Psi, computed there and not
 stored.  It runs in involution_from_rules, on every involution built
-whole and on pretzel's pieces once per process: the involution of each
-model and the square pair.  pretzel.full_involution is not validated
-whole: pretzel._check_layout proves that it is the head's involution
-and copies of the validated square pair, block by block, which keeps
-every law.  The involution of a dual complex is the transpose of a
-validated one and is not checked again: every one of those laws
-transposes.  dual_involution guards that its complex is the dual;
-transposed, for a caller that has just built the dual, does not.
+whole: the worked examples and pretzel's pieces, the head of each model
+(once per process in pretzel._head's memo, and once for each model
+pretzel.model_triple reduces) and the square pair.  No involution that
+pretzel hands out, of a model (model_involution_for) or of a full
+complex (full_involution), is validated whole: pretzel._check_layout
+proves that it is the head's involution and copies of the validated
+square pair, block by block, which keeps every law.  The involution of
+a dual complex is the transpose of a validated one and is not checked
+again: every one of those laws transposes.  dual_involution guards that
+its complex is the dual; transposed, for a caller that has just built
+the dual, does not.
 """
 
 from __future__ import annotations

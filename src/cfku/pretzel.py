@@ -14,20 +14,27 @@ model_triple reduces each model once per process, in both chiralities.
 The full complex is a head, the model complex (the staircase and, for
 C1, the box its involution couples to it), plus translated copies of one
 box, and its involution is the head's plus one square map per pair of
-boxes.  Each distinct piece is validated once per process (the staircase
-and _head per step tuple, _box, _pair); _full_layout extends the pieces'
-columns by translation, and _check_layout proves in one linear pass that
-a full complex and its involution are those pieces laid out.
+boxes.  Each distinct piece is validated whole once per process (the
+staircase and _head per step tuple, _box, _pair); _full_layout extends
+the pieces' columns by translation.  Every involution handed out here,
+of a model (model_involution_for) or of a full complex (full_involution),
+is checked by blocks against those pieces in one linear pass
+(_check_layout).
 
 The steps depend on m + n alone, so the pure work that reports repeat
-for the same steps is kept per process, as model_triple is: the pieces
-(_staircase_piece, _head, _box, _pair), the rank tables of the staircase
-and the box, n(K) of the steps and the triples.  Each memo holds only
+for the same steps is kept per process: the pieces (_staircase_piece,
+_head, _box, _pair), the rank tables of the staircase and the box
+(_staircase_table, _box_table), n(K) of the steps (_steps_n_of_k) and
+the triples of each model (model_triple).  _head's memo serves
+model_complex, model_involution_for and the full path; model_triple
+reduces a head built by _head's body outside the memo, since it keeps
+the triples and never reads that head again.  Each memo holds only
 tuples, immutable values or read-only views, and keeps nothing for a
 call that raises.  Nothing is kept per pair: classify is not cached, so
-it checks n(K) and the main-diagonal parity on every call, and
-report_dict classifies its pair once and reads the triple, the closed
-form and the block table off that one ModelSpec.
+it checks n(K) and the main-diagonal parity on every call, and it is
+the only caller of box_multiplicities, so every box count read here has
+passed those checks.  report_dict classifies its pair once and reads
+the triple, the closed form and the block table off that one ModelSpec.
 """
 
 from __future__ import annotations
@@ -172,8 +179,9 @@ def box_multiplicities(params: PretzelParams) -> dict[int, int]:
     The first kind of term puts k boxes on diagonals +-(g - 2k - 3) for
     1 <= k <= (n - 5)/2, the second (n - 3)/2 on each diagonal of
     g - n .. n - g in steps of 2; with g >= n no two terms share a
-    diagonal.  A fresh dict on each call: report_dict computes it once
-    per report, in classify, and nothing keeps it.
+    diagonal.  A fresh dict on each call, and nothing keeps it: its one
+    caller is classify, which checks the main-diagonal parity, and a
+    report classifies its pair once.
     """
     g, n = params.g, params.n
     half = (n - 3) // 2
@@ -259,10 +267,10 @@ def block_hfk(params: PretzelParams) -> tuple[dict[tuple[int, int], int], int]:
     (_staircase_table), the one box once per process (_box_table), and
     _block_table adds count times each shifted entry of that box's table,
     at each block's corner and, off the main diagonal, at the mirror's,
-    to a plain dict copied from the staircase's.  The count is the
-    layout's.
+    to a plain dict copied from the staircase's.  The counts are
+    classify's, so n(K) and the main-diagonal parity are checked.
     """
-    return _block_table(params.steps, box_layout(len(params.steps), box_multiplicities(params)))
+    return _block_table(params.steps, box_layout(len(params.steps), classify(params).boxes))
 
 
 def _block_table(steps: tuple[int, ...], layout: Layout) -> tuple[dict[tuple[int, int], int], int]:
@@ -314,7 +322,8 @@ def _head(steps: tuple[int, ...], coupled: bool) -> _Piece:
     (family C1), the box of box_layout's {0: 1} block, checked with the
     staircase as their sum, with the C1 coupling laid over the
     reflection.  The involution goes through involution_from_rules, so
-    its index, coverage and law checks all run."""
+    its index, coverage and law checks all run.  model_triple runs this
+    body without the memo (_head.__wrapped__)."""
     v = len(steps)
     c = _staircase_piece(steps).complex()
     if coupled:
@@ -369,9 +378,9 @@ def _check_layout(
     layout: Layout,
     rules: SparseMap | None = None,
 ) -> None:
-    """Prove in one linear pass that c, and the involution matrix rules
-    when given, are the validated pieces of these steps laid out as
-    layout says; else raise ValueError naming the block that is not.
+    """Check in one linear pass that c, and the involution matrix rules
+    when given, are valid pieces of these steps at the layout's offsets;
+    else raise ValueError naming the block that is not.
 
     The staircase and a C1 box must equal the head's; every other box
     the validated box translated, gradings and positions relative to its
@@ -380,7 +389,13 @@ def _check_layout(
     rules.  Entry counts then leave no d or iota entry outside the
     blocks.  That is every law validate and validate_involution check
     (unique names hold by construction, _full_names): a direct sum of
-    valid blocks is valid, and translation keeps each law (_pair).  Each
+    valid blocks is valid, and translation keeps each law (_pair).
+
+    No check reads layout.blocks, so where a pair sits is not checked
+    here: a box moved off its diagonal with its mirror, the two still
+    mirrored with one grading, passes, and so does validate.  The rank
+    table then differs, so hfk_match of the deep checks fails on it
+    (test_block_moved_off_its_diagonal_fails_both_paths_alike).  Each
     check reads slices of whole columns of c, and only a failed one looks
     for the block to name.
     """
@@ -425,14 +440,14 @@ def _check_layout(
         raise ValueError("the differential has %d entries outside the blocks" % outside)
     if rules is None:
         return
-    pair = _pair()
+    pair_iota = _pair().iota if paired else ()  # a model has no pair to check
     if any(rules.get((at[t], at[s])) != a for (t, s), a in head.iota):
         raise ValueError("iota on the head is not the validated reflection and C1 coupling")
     # each pair's mirror follows its box, so index t of the pair is k + t
-    k = _misplaced(rules, pair.iota, paired[::2])
+    k = _misplaced(rules, pair_iota, paired[::2])
     if k is not None:
         raise ValueError("iota on the pair at %d, %d is not square_pair's" % (k, k + 4))
-    outside = len(rules) - len(head.iota) - len(pair.iota) * (len(paired) // 2)
+    outside = len(rules) - len(head.iota) - len(pair_iota) * (len(paired) // 2)
     if outside:
         raise ValueError("iota has %d entries outside the blocks" % outside)
 
@@ -445,10 +460,14 @@ def model_complex(params: PretzelParams) -> FilteredComplex:
 
 def full_complex(params: PretzelParams) -> FilteredComplex:
     """The staircase plus the boxes of the pair, appended in place as
-    box_layout lays them out, and checked by blocks against the head (the
-    staircase and, for C1, the coupled box) and the box, each validated
-    once per process (_check_layout)."""
-    layout = box_layout(len(params.steps), box_multiplicities(params))
+    box_layout lays out classify's counts, and checked by blocks
+    (_check_layout): the head (the staircase and, for C1, the coupled
+    box) and every other box are pieces validated once per process, at
+    the layout's offsets, each pair at mirrored corners with one grading,
+    and no arrow lies outside the blocks.  Where a pair sits is checked
+    by hfk_match, not here."""
+    spec = classify(params)
+    layout = box_layout(spec.v, spec.boxes)
     c = _full_layout(params, layout)
     _check_layout(c, params.steps, layout)
     return c
@@ -493,14 +512,19 @@ def _full_names(layout: Layout) -> list[str]:
 def layout_involution(c: FilteredComplex, v: int, boxes: dict[int, int]) -> Involution:
     """The involution of a complex laid out as box_layout(v, boxes) says,
     validated whole: the reflection on the staircase, the C1 coupling on
-    the coupled box and square maps on the other boxes, pair by pair."""
+    the coupled box and square maps on the other boxes, pair by pair.
+    _head builds each head's with it; every other involution here is
+    checked by blocks against that head (_checked_involution)."""
     layout = box_layout(v, boxes)
     return involution_from_rules(c, staircase_with_boxes(v, layout.coupled, layout.paired))
 
 
 def model_involution_for(params: PretzelParams, c: FilteredComplex) -> Involution:
+    """layout_involution's matrix on the model complex c of the pair, the
+    layout of {0: main_diag_boxes}, checked by blocks with c against the
+    head that _head validated, as full_involution is (_check_layout)."""
     spec = classify(params)
-    return layout_involution(c, spec.v, {0: spec.main_diag_boxes})
+    return _checked_involution(c, params.steps, box_layout(spec.v, {0: spec.main_diag_boxes}))
 
 
 def full_involution(params: PretzelParams, c: FilteredComplex) -> Involution:
@@ -583,16 +607,18 @@ def model_triple(
     The model is the negative staircase with these steps and, when
     coupled (family C1), the main-diagonal box with its coupling laid
     over the reflection; C2-C4 carry the reflection alone, so they share
-    a key.  The complex and the involution are fresh copies of the
-    validated head of _head, and the mirror is their dual through
-    _chirality.  Many pairs share a model, so the pair of triples is
-    cached on exactly these arguments, at most two entries per m + n.
-    Only the triples are kept, never a complex or an involution, which
-    relabel could change in place.  A call for one chirality so also
-    reduces the other: about 0.5 ms at m + n = 42, against about 200 ms
-    for one cfku invariants process to start and import cfku.
+    a key.  The complex and the involution are a head validated by
+    _head's body, run outside its memo (_head.__wrapped__), since this
+    memo keeps the triples and no report reads the head again; the
+    mirror is their dual through _chirality.  Many pairs share a model,
+    so the pair of triples is cached on exactly these arguments, at most
+    two entries per m + n.  Only the triples are kept, never a complex
+    or an involution, which relabel could change in place.  A call for
+    one chirality so also reduces the other: about 0.5 ms at m + n = 42,
+    against about 200 ms for one cfku invariants process to start and
+    import cfku.
     """
-    head = _head(steps, coupled)
+    head = _head.__wrapped__(steps, coupled)
     c = head.complex()
     iota = Involution(c, dict(head.iota))
     return involutive_invariants(c, iota), involutive_invariants(*_chirality(c, iota, True))

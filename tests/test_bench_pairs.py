@@ -141,3 +141,38 @@ def test_a_change_whose_every_run_wins_is_resolved_despite_the_spread():
     # every change run beats every parent run on wall_s, none does on rate
     assert not metrics["wall_s"]["unresolved"] and metrics["wall_s"]["within_bound"]
     assert metrics["rate"]["unresolved"] and not metrics["rate"]["within_bound"]
+
+
+_FAKE_RUN = """
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = pathlib.Path(".bench_out")
+out.mkdir(exist_ok=True)
+name = "%s-seed%s-trace%s.json" % (args["--workload"], args["--seed"], args["--trace"])
+provenance = {"git_revision": "r", "src_sha256": "s", "loadavg_before": [0, 0, 0]}
+passes = [{"peak_rss_mb": 20.0, "traced": False}]
+(out / name).write_text(json.dumps({"provenance": provenance, "passes": passes}))
+print(json.dumps({"attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.1}}}))
+"""
+
+
+def test_runs_record_bytecode_and_pairs_need_one_state(tmp_path):
+    trees = {}
+    for side in bench_pairs.SIDES:
+        tree = trees[side] = tmp_path / side
+        (tree / "src" / "cfku").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(_FAKE_RUN)
+
+    def pycache(side):
+        return bench_pairs.run_side(trees[side], side, "oracle", 1, 1.0, 0)["src_pycache"]
+
+    assert not pycache("parent") and not pycache("change")
+    bench_pairs.require_same_bytecode(trees)
+    (trees["change"] / "src" / "cfku" / "__pycache__").mkdir()
+    assert pycache("change") and not pycache("parent")
+    with pytest.raises(SystemExit, match="only the change tree's src holds __pycache__"):
+        bench_pairs.require_same_bytecode(trees)
+    (trees["parent"] / "src" / "cfku" / "__pycache__").mkdir()
+    bench_pairs.require_same_bytecode(trees)
+    assert pycache("parent")

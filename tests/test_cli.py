@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cfku import cli, render
+from cfku import cli, pretzel, render
 from cfku.complexes import (
     figure_eight_complex,
     left_trefoil_complex,
@@ -92,6 +92,51 @@ def test_internal_error_exit_four(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cfku: internal error: assembled pretzel complex invalid\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hfk"],
+        ["hfk", "--format", "json"],
+        ["show", "--which", "full"],
+        ["show", "--which", "model"],
+        ["show", "--which", "A0"],
+        ["invariants", "--fast"],
+    ],
+)
+def test_every_command_checks_the_main_diagonal_parity(monkeypatch, capsys, argv):
+    real = pretzel.box_multiplicities
+
+    def one_box_too_many(params):
+        boxes = real(params)
+        boxes[0] = boxes.get(0, 0) + 1
+        return boxes
+
+    monkeypatch.setattr(pretzel, "box_multiplicities", one_box_too_many)
+    assert run([*argv, "-m", "9", "-n", "9"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cfku: internal error: 4 main-diagonal boxes have the wrong parity for C1\n"
+    )
+
+
+def test_show_a0_builds_no_involution(monkeypatch, capsys):
+    want = {}
+    for fmt in ("table", "json"):
+        assert run(["show", "-m", "9", "-n", "9", "--which", "A0", "--format", fmt]) == 0
+        want[fmt] = capsys.readouterr().out
+
+    def broken(*args):
+        raise ValueError("an involution was built")
+
+    monkeypatch.setattr(cli, "model_involution_for", broken)
+    for fmt in ("table", "json"):
+        assert run(["show", "-m", "9", "-n", "9", "--which", "A0", "--format", fmt]) == 0
+        assert capsys.readouterr().out == want[fmt]
+    assert run(["show", "-m", "9", "-n", "9", "--which", "cone"]) == 4
+    assert capsys.readouterr().err == "cfku: internal error: an involution was built\n"
 
 
 def test_process_exit_codes(tmp_path):

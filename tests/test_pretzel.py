@@ -6,8 +6,10 @@ computed correction terms together are genuine cross-checks rather than
 the same formula evaluated twice.
 """
 
+import ast
 import logging
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -398,8 +400,9 @@ def test_each_pretzel_complex_is_validated_once(monkeypatch):
     iota_calls.clear()
     for mirrored in (False, True):
         compute_invariants(params, mirrored, use_full=True)
-    compute_invariants(params, mirrored=True)  # the model is the head
-    assert (calls, iota_calls) == ([8], [8])  # the square pair
+    # the model is the head, which model_triple builds outside _head's memo
+    compute_invariants(params, mirrored=True)
+    assert (calls, iota_calls) == ([8, stair + 4], [8, stair + 4])  # the square pair, the head
     calls.clear()
     iota_calls.clear()
     eleven_seven = PretzelParams(11, 7)  # C3, the same steps
@@ -537,6 +540,17 @@ def test_reports_do_not_depend_on_warm_memos():
     assert all(all(r["checks"].values()) for r in cold.values())
 
 
+def test_reports_keep_no_head():
+    # model_triple keeps the triples; the head it reduces is not kept
+    _clear_memos()
+    for m in range(3, 22, 2):
+        for n in range(3, m + 1, 2):
+            for mirrored in (False, True):
+                report_dict(m, n, mirrored)
+    assert pretzel._head.cache_info().currsize == 0
+    assert model_triple.cache_info().currsize == 27
+
+
 def _whole_complex_checks(params):
     full = full_complex(params)
     return pretzel.deep_checks(params, hfk_hat(full), len(full.gens))
@@ -585,6 +599,21 @@ def test_a_report_classifies_its_pair_once_and_counts_its_boxes_once(monkeypatch
                     rep = report_dict(m, n, mirrored, deep=deep)
                     assert all(rep["checks"].values())
                     assert calls == {"classify": 1, "box_multiplicities": 1}, (m, n, mirrored, deep)
+
+
+def test_only_classify_counts_boxes():
+    # every caller of cfku gets its box counts checked for parity
+    callers = []
+    for path in sorted(Path(pretzel.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    (path.name, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "box_multiplicities"
+                ]
+    assert callers == [("pretzel.py", "classify")]
 
 
 def test_block_moved_off_its_diagonal_fails_both_paths_alike(monkeypatch):
@@ -746,6 +775,36 @@ def test_block_checks_reject_a_complex_of_another_size():
     complexes.add_box(c, (-1, -1), params.g - 1, "_extra")
     with pytest.raises(ValueError, match="the layout has 53 generators, the complex 57"):
         full_involution(params, c)
+
+
+def test_model_involution_is_checked_by_blocks():
+    # the C3 model (11, 7) is the staircase at 0..16 alone; the C1 model
+    # (9, 9) adds its box at 17
+    params = PretzelParams(11, 7)
+    c = model_complex(params)
+    _shift(c, 3, dm=2)
+    with pytest.raises(ValueError, match="the staircase is not the validated head's"):
+        model_involution_for(params, c)
+    params = PretzelParams(9, 9)
+    c = model_complex(params)
+    for k in range(17, 21):
+        _shift(c, k, dm=2)
+    with pytest.raises(ValueError, match="the C1 box at 17 is not the validated head's"):
+        model_involution_for(params, c)
+
+
+def test_model_involution_validates_nothing_once_the_head_is_kept(monkeypatch):
+    _clear_memos()
+    iota_calls = _counting_validate_involution(monkeypatch)
+    for m, n in ((9, 9), (11, 7), (5, 5), (7, 5)):
+        params = PretzelParams(m, n)
+        c = model_complex(params)  # _head's memo now holds the model
+        iota_calls.clear()
+        iota = model_involution_for(params, c)
+        assert iota_calls == [], (m, n)
+        spec = classify(params)
+        whole = pretzel.layout_involution(c, spec.v, {0: spec.main_diag_boxes})
+        assert iota.matrix == whole.matrix, (m, n)
 
 
 def _summed_full_complex(params):

@@ -28,7 +28,11 @@ the summary compares the two sides of a pair over the passes both ran
 high-water mark of ``run.py``, which grows by one record per pass, so
 the run's median favours the side that fits fewer passes into the run.
 A side reports its failed cases in its run records; a run that prints
-no result stops the tool.
+no result stops the tool.  Each run record also keeps whether its
+tree's ``src`` held a ``__pycache__`` directory when the run started
+(``src_pycache``): a tree with bytecode imports faster and in less
+memory than one that compiles at import, so before each pair the tool
+stops unless both trees are in the same state.
 """
 
 from __future__ import annotations
@@ -56,8 +60,23 @@ def parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def has_bytecode(tree: Path) -> bool:
+    """Whether the tree's ``src`` holds a ``__pycache__`` directory."""
+    return any((tree / "src").rglob("__pycache__"))
+
+
+def require_same_bytecode(trees: dict[str, Path]) -> None:
+    """Stop unless both trees hold bytecode under ``src`` or neither does."""
+    held = [side for side in SIDES if has_bytecode(trees[side])]
+    if len(held) == 1:
+        sys.exit("bench_pairs: only the %s tree's src holds __pycache__, so its runs would "
+                 "import from bytecode and the other's compile at import; delete "
+                 "src/**/__pycache__ in both trees" % held[0])
+
+
 def run_side(tree: Path, side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run from the root of ``tree``, as a run record."""
+    src_pycache = has_bytecode(tree)
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -78,6 +97,7 @@ def run_side(tree: Path, side: str, workload: str, seed: int, seconds: float, tr
         "trace": trace,
         "git_revision": full["provenance"]["git_revision"],
         "src_sha256": full["provenance"]["src_sha256"],
+        "src_pycache": src_pycache,
         "passes": len(full["passes"]),
         "pass_peak_rss_mb": [p["peak_rss_mb"] for p in full["passes"] if not p["traced"]],
         "attempted": result["attempted"],
@@ -219,6 +239,7 @@ def main(argv=None) -> int:
     runs, traced = [], {}
     for workload, seeds in args.plan:
         for k, seed in enumerate(seeds):
+            require_same_bytecode(trees)
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for first, side in zip((True, False), order):
                 record = run_side(trees[side], side, workload, seed, args.seconds, 0)
